@@ -43,6 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text) if text.isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="quandlekit",
@@ -53,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="group materialization cap (default %(default)s)")
     parser.add_argument("--out", metavar="PATH",
                         help="write output to PATH instead of stdout")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved; no algorithm consumes randomness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", parents=[], help="check a table file")
@@ -72,11 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="class scans and enumeration sweeps")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--sym", type=int, metavar="D",
+    mode.add_argument("--sym", type=_positive_int, metavar="D",
                       help="symmetric-group classes of degree D")
-    mode.add_argument("--alt", type=int, metavar="D",
+    mode.add_argument("--alt", type=_positive_int, metavar="D",
                       help="alternating-group classes of degree D")
-    mode.add_argument("--enumerate", type=int, metavar="N", dest="enumerate_n",
+    mode.add_argument("--enumerate", type=_positive_int, metavar="N", dest="enumerate_n",
                       help="connected quandles with N elements")
     p.add_argument("--racks", action="store_true",
                    help="with --enumerate: include non-quandle racks")
@@ -163,6 +168,13 @@ def _require_keys(kind, pairs, keys):
         raise ParseError(f"{kind} spec has unknown keys {', '.join(extra)}")
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {text!r}") from None
+
+
 def _ints(text: str):
     try:
         return [int(t) for t in text.split(",") if t != ""]
@@ -175,7 +187,7 @@ def construct_from_spec(spec: str, cap: int = DEFAULT_CAP):
     kind, pairs = _parse_kv(spec)
     if kind == "conj":
         _require_keys(kind, pairs, ["d", "type"])
-        d = int(pairs["d"])
+        d = _int(pairs["d"])
         parts = tuple(sorted(_ints(pairs["type"]), reverse=True))
         if sum(parts) != d or any(p < 1 for p in parts):
             raise ParseError(f"type {pairs['type']!r} is not a partition of {d}")
@@ -191,7 +203,7 @@ def construct_from_spec(spec: str, cap: int = DEFAULT_CAP):
         _require_keys(kind, pairs, ["orders", "alpha"])
         orders = _ints(pairs["orders"])
         alpha_txt = pairs["alpha"]
-        alpha = (int(alpha_txt) if "," not in alpha_txt
+        alpha = (_int(alpha_txt) if "," not in alpha_txt
                  else _ints(alpha_txt))
         try:
             aspec = constructors.make_affine_spec(orders, alpha)

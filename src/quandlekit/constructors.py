@@ -18,9 +18,11 @@ from .perm import (
     CycleType,
     Permutation,
     PermutationGroup,
+    _unchecked,
     all_partitions,
     alternating_group,
     canonical_of_cycle_type,
+    orbit_partition,
     symmetric_group,
 )
 from .racktable import RackTable, fingerprint, is_isomorphic
@@ -283,7 +285,7 @@ def affine_quandle(spec: AffineSpec) -> AffineResult:
 def _perms_by_type(n: int):
     by_type: Dict[CycleType, list] = {}
     for images in itertools.permutations(range(n)):
-        p = Permutation(images)
+        p = _unchecked(images)
         by_type.setdefault(p.cycle_type(), []).append(p)
     return by_type
 
@@ -385,17 +387,7 @@ def _complete_rows(n: int, rows: list, cands: list) -> list:
 
 
 def _connected_table(table) -> bool:
-    n = len(table)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        p = frontier.pop()
-        for row in table:
-            q = row[p]
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return len(seen) == n
+    return len(orbit_partition(len(table), table)) == 1
 
 
 def _dedup_tables(tables: list) -> list:

@@ -10,7 +10,6 @@ element set, which is filled at most once.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from typing import Iterable, Optional, Sequence
@@ -36,7 +35,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
+        return _unchecked(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
@@ -66,6 +65,7 @@ class Permutation:
         if consumed:
             raise ParseError(f"unexpected text in cycle notation: {consumed!r}")
         cycles = []
+        seen = set()
         for body in _CYCLE_RE.findall(stripped):
             body = body.strip()
             if not body:
@@ -77,6 +77,9 @@ class Permutation:
             for p in pts:
                 if not 0 <= p < degree:
                     raise ParseError(f"point {p + 1} out of range 1..{degree}")
+                if p in seen:
+                    raise ParseError(f"point {p + 1} appears more than once")
+                seen.add(p)
             cycles.append(pts)
         return cls.from_cycles(degree, cycles)
 
@@ -115,11 +118,10 @@ class Permutation:
         return self._images < other._images
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
-        o = other._images
-        s = self._images
-        return Permutation(s[o[i]] for i in range(len(s)))
+        s, o = self._images, other._images
+        if len(s) != len(o):
+            raise DegreeMismatch(f"degree {len(s)} vs {len(o)}")
+        return _unchecked(tuple([s[j] for j in o]))
 
     def __pow__(self, k: int) -> "Permutation":
         n = self.degree
@@ -128,17 +130,24 @@ class Permutation:
             l = len(cycle)
             for pos, pt in enumerate(cycle):
                 images[pt] = cycle[(pos + k) % l]
-        return Permutation(images)
+        return _unchecked(tuple(images))
 
     def inverse(self) -> "Permutation":
         out = [0] * len(self._images)
         for i, j in enumerate(self._images):
             out[j] = i
-        return Permutation(out)
+        return _unchecked(tuple(out))
 
     def conj(self, other: "Permutation") -> "Permutation":
-        """Conjugate ``other`` by self: ``self * other * self.inverse()``."""
-        return self * other * self.inverse()
+        """Conjugate ``other`` by self: ``self * other * self.inverse()``,
+        which maps ``self(i)`` to ``self(other(i))``."""
+        p, q = self._images, other._images
+        if len(p) != len(q):
+            raise DegreeMismatch(f"degree {len(p)} vs {len(q)}")
+        out = [0] * len(p)
+        for i, j in enumerate(q):
+            out[p[i]] = p[j]
+        return _unchecked(tuple(out))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self._images))
@@ -201,6 +210,34 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation[{self.cycle_string()} deg={self.degree}]"
+
+
+def _unchecked(images: tuple) -> Permutation:
+    """Wrap an image tuple known to be a permutation, skipping the check in
+    ``Permutation.__init__`` (for values derived from checked ones)."""
+    p = object.__new__(Permutation)
+    p._images = images
+    return p
+
+
+def orbit_partition(degree: int, rows: Sequence[Sequence[int]]) -> list:
+    """Orbits of ``0..degree-1`` under the maps given as image rows, as
+    frozensets ordered by least point (used for groups, racks and tables)."""
+    seen = [False] * degree
+    out = []
+    for start in range(degree):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for p in orbit:
+            for row in rows:
+                q = row[p]
+                if not seen[q]:
+                    seen[q] = True
+                    orbit.append(q)
+        out.append(frozenset(orbit))
+    return out
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -296,19 +333,16 @@ class PermutationGroup:
     def __init__(self, degree: int, generators: Iterable[Permutation],
                  cap: int = DEFAULT_CAP):
         self.degree = degree
-        gens = []
-        seen = set()
-        for g in generators:
+        gens = tuple(dict.fromkeys(generators))
+        for g in gens:
             if g.degree != degree:
                 raise DegreeMismatch(
                     f"generator degree {g.degree} != group degree {degree}")
-            if g.images not in seen and not g.is_identity():
-                seen.add(g.images)
-                gens.append(g)
-        self.generators = tuple(gens)
+        self.generators = tuple(g for g in gens if not g.is_identity())
         self.cap = cap
         self._elements: Optional[tuple] = None
         self._element_set: Optional[frozenset] = None
+        self._orbits: Optional[list] = None
 
     # -- materialization ------------------------------------------------
 
@@ -320,7 +354,7 @@ class PermutationGroup:
             if raw is None:
                 raise CapExceeded(
                     f"group closure on {self.degree} points exceeds cap {self.cap}")
-            elems = tuple(Permutation(t) for t in raw)
+            elems = tuple(_unchecked(t) for t in raw)
             self._elements = elems
             self._element_set = frozenset(elems)
         return self._elements
@@ -340,33 +374,19 @@ class PermutationGroup:
     def orbit(self, point: int) -> frozenset:
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range 0..{self.degree - 1}")
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            p = frontier.pop()
-            for g in self.generators:
-                q = g(p)
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-        return frozenset(seen)
+        return next(orb for orb in self.orbits() if point in orb)
 
     def orbits(self) -> list:
-        """Orbit partition as a list of frozensets, ordered by least point."""
-        remaining = set(range(self.degree))
-        out = []
-        while remaining:
-            p = min(remaining)
-            orb = self.orbit(p)
-            out.append(orb)
-            remaining -= orb
-        return out
+        """Orbit partition as a list of frozensets, ordered by least point;
+        computed once."""
+        if self._orbits is None:
+            self._orbits = orbit_partition(
+                self.degree, [g.images for g in self.generators])
+        return self._orbits
 
     def is_transitive(self) -> bool:
         """Single orbit; degree-1 groups are transitive by convention."""
-        if self.degree == 1:
-            return True
-        return len(self.orbit(0)) == self.degree
+        return len(self.orbits()) == 1
 
     # -- centralizers and centers -----------------------------------------
 
@@ -466,10 +486,7 @@ class PermutationGroup:
 
     def minimal_block(self, a: int, b: int) -> frozenset:
         """Smallest block containing ``{a, b}`` of some block system."""
-        for cell in self._minimal_block_partition(a, b):
-            if a in cell:
-                return cell
-        raise AssertionError("unreachable: partitions cover all points")
+        return next(c for c in self._minimal_block_partition(a, b) if a in c)
 
     def is_primitive(self) -> bool:
         """Only trivial block systems exist.
@@ -477,14 +494,7 @@ class PermutationGroup:
         Non-transitive groups report False (imprimitivity presumes a
         transitive action); degree-1 groups are primitive by convention.
         """
-        if self.degree == 1:
-            return True
-        if not self.is_transitive():
-            return False
-        return all(
-            len(self.minimal_block(0, b)) == self.degree
-            for b in range(1, self.degree)
-        )
+        return self.is_transitive() and self.block_system_witness() is None
 
     def block_system_witness(self) -> Optional[list]:
         """A minimal nontrivial block system, or None when primitive.
@@ -492,17 +502,15 @@ class PermutationGroup:
         Chooses the smallest block over ``minimal_block(0, b)`` (ties to the
         smallest ``b``) and returns its cell partition.
         """
-        if self.degree == 1 or not self.is_transitive():
+        if not self.is_transitive():
             return None
         best = None
         for b in range(1, self.degree):
+            # cells of a block system have equal size: fewest points, most cells
             cells = self._minimal_block_partition(0, b)
-            size = len(next(c for c in cells if 0 in c))
-            if size == self.degree:
-                continue
-            if best is None or size < best[0]:
-                best = (size, cells)
-        return None if best is None else best[1]
+            if len(cells) > 1 and (best is None or len(cells) > len(best)):
+                best = cells
+        return best
 
     def __repr__(self):
         return (f"PermutationGroup(degree={self.degree}, "
@@ -554,4 +562,4 @@ def canonical_of_cycle_type(degree: int, parts: Sequence[int]) -> Permutation:
         for k in range(l):
             images[pos + k] = pos + (k + 1) % l
         pos += l
-    return Permutation(images)
+    return _unchecked(tuple(images))

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import _kernels
 from .errors import DegreeMismatch, NotARack, ParseError
-from .perm import Permutation
+from .perm import Permutation, _unchecked, orbit_partition
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,9 @@ class RackTable:
         return rows[x]
 
     def _phi_rows(self):
+        # Callers check the rack axioms first, so every row is a bijection.
         if self._rows is None:
-            self._rows = tuple(Permutation(r) for r in self.table)
+            self._rows = tuple(_unchecked(r) for r in self.table)
         return self._rows
 
     def translations(self) -> tuple:
@@ -161,31 +162,12 @@ class RackTable:
     def distinct_translations(self) -> tuple:
         """Distinct translation permutations in first-occurrence order."""
         self._require_rack()
-        seen = {}
-        for p in self._phi_rows():
-            if p.images not in seen:
-                seen[p.images] = p
-        return tuple(seen.values())
+        return tuple(dict.fromkeys(self._phi_rows()))
 
     def inner_orbit_partition(self) -> list:
         """Orbits of the point set under all rows (frozensets, by least point)."""
         if self._orbits is None:
-            remaining = set(range(self.n))
-            out = []
-            while remaining:
-                start = min(remaining)
-                seen = {start}
-                frontier = [start]
-                while frontier:
-                    p = frontier.pop()
-                    for row in self.table:
-                        q = row[p]
-                        if q not in seen:
-                            seen.add(q)
-                            frontier.append(q)
-                out.append(frozenset(seen))
-                remaining -= seen
-            self._orbits = out
+            self._orbits = orbit_partition(self.n, self.table)
         return self._orbits
 
     def relabel(self, sigma: Permutation) -> "RackTable":
@@ -318,7 +300,7 @@ def _isomorphism_search(X: RackTable, Y: RackTable, collect: bool = False) -> li
 
     def rec(i: int) -> bool:
         if i == n:
-            solutions.append(Permutation(f))
+            solutions.append(_unchecked(tuple(f)))
             return not collect
         x = order[i]
         for y in classes_y[inv_x[x]]:

@@ -87,6 +87,16 @@ def test_automorphism_bound_is_enforced():
 # -- connectedness ------------------------------------------------------------------
 
 
+def test_rack_orbits_match_inner_group_orbits(catalog):
+    extra = [("trivial-4", trivial_quandle(4)),
+             ("s4-double-transpositions", conjugacy_class_quandle(
+                 symmetric_group(4), cyc(4, (1, 2), (3, 4))).rack),
+             ("s4-three-cycles", conjugacy_class_quandle(
+                 symmetric_group(4), cyc(4, (1, 2, 3))).rack)]
+    for name, X in catalog + extra:
+        assert X.inner_orbit_partition() == inner_group(X).orbits(), name
+
+
 def test_trivial_quandle_is_not_connected():
     assert not is_connected(trivial_quandle(2))
 

@@ -67,6 +67,16 @@ def test_missing_file_exit_code(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_perm_file_with_a_repeated_point_exit_code(capsys, tmp_path, command):
+    path = tmp_path / "dup.perm"
+    path.write_text("perm 2\n(1,2)(2,1)\n()\n")
+    code, _, err = run(capsys, command, str(path))
+    assert code == 64
+    assert "line 2" in err
+    assert "Traceback" not in err
+
+
 # -- analyze ------------------------------------------------------------------------
 
 
@@ -174,6 +184,15 @@ def test_construct_rejects_non_automorphism(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("spec", ["conj d=x type=1", "affine orders=5 alpha=x"])
+def test_construct_non_integer_exit_code(capsys, spec):
+    code, out, err = run(capsys, "construct", spec)
+    assert code == 64
+    assert out == ""
+    assert "'x'" in err
+    assert "Traceback" not in err
+
+
 # -- scan ---------------------------------------------------------------------------------
 
 
@@ -227,6 +246,24 @@ def test_scan_json(capsys):
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["scan"])
+    assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["--sym", "0"], ["--alt", "-2"], ["--enumerate", "0"], ["--sym", "x"],
+])
+def test_scan_rejects_a_non_positive_size(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", *argv])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert "positive integer" in err
+    assert "Traceback" not in err
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "1", "scan", "--sym", "3"])
     assert exc.value.code == 64
 
 

@@ -6,6 +6,7 @@ every set partition of the points.
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quandlekit import (
     CapExceeded,
@@ -91,6 +92,26 @@ def test_full_cycle_is_transitive():
     assert group(6, cyc(6, (1, 2, 3, 4, 5, 6))).is_transitive()
     assert not group(2).is_transitive()
     assert group(1).is_transitive()
+
+
+def test_orbit_rejects_a_point_out_of_range():
+    G = group(3, cyc(3, (1, 2)))
+    for point in (-1, 3):
+        with pytest.raises(ValueError):
+            G.orbit(point)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(st.permutations(range(n)).map(Permutation), max_size=3)
+    .map(lambda gens: (n, gens))))
+def test_orbits_match_orbits_read_off_the_elements(case):
+    n, gens = case
+    G = group(n, *gens)
+    elems = G.elements()
+    expected = sorted({frozenset(g(x) for g in elems) for x in range(n)}, key=min)
+    assert G.orbits() == expected
+    assert all(G.orbit(x) == next(o for o in expected if x in o) for x in range(n))
+    assert G.is_transitive() == (len(expected) == 1)
 
 
 # -- centralizers ---------------------------------------------------------------
@@ -255,6 +276,23 @@ def test_primitivity_matches_brute_force(name, make):
         s for s in systems if 1 < len(s) < G.degree
     ]
     assert G.is_primitive() == (not nontrivial)
+
+
+@pytest.mark.parametrize("name,make", ORACLE_GROUPS)
+def test_block_system_witness_matches_brute_force(name, make):
+    G = make()
+    witness = G.block_system_witness()
+    systems = [s for s in brute_block_partitions(G) if 1 < len(s) < G.degree]
+    if not G.is_transitive() or not systems:
+        assert witness is None
+        return
+
+    def cell_of_0(system):
+        return next(c for c in system if 0 in c)
+
+    # smallest block through 0, ties to the least other point in it
+    best = min(systems, key=lambda s: (len(cell_of_0(s)), min(cell_of_0(s) - {0})))
+    assert set(witness) == set(best)
 
 
 @pytest.mark.parametrize("name,make", ORACLE_GROUPS)

@@ -75,6 +75,27 @@ def test_conjugation_preserves_cycle_type(pair):
     assert conjugate(a, b).cycle_type() == b.cycle_type()
 
 
+@given(st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.tuples(perms(n), perms(n))))
+def test_single_pass_conj_matches_two_products(pair):
+    p, q = pair
+    assert p.conj(q) == p * q * p.inverse()
+
+
+def test_conj_degree_mismatch():
+    with pytest.raises(DegreeMismatch):
+        Permutation.identity(3).conj(Permutation.identity(4))
+    with pytest.raises(DegreeMismatch):
+        Permutation.identity(4).conj(Permutation.identity(3))
+
+
+def test_constructor_still_checks_its_input():
+    with pytest.raises(ValueError):
+        Permutation([0, 0])
+    with pytest.raises(ValueError):
+        Permutation([1, 2])
+
+
 # -- cycle structure -----------------------------------------------------------
 
 
@@ -181,6 +202,12 @@ def test_parse_rejects_garbage():
         P("(1,2) junk", 3)
     with pytest.raises(ParseError):
         P("(1,5)", 3)
+
+
+@pytest.mark.parametrize("text", ["(1,2)(2,1)", "(1,2,1)", "(1,2)(3,1)"])
+def test_parse_rejects_a_repeated_point(text):
+    with pytest.raises(ParseError, match="more than once"):
+        P(text, 3)
 
 
 def test_one_line_round_trip(golden):
