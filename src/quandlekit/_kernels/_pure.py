@@ -5,6 +5,8 @@ The compiled backend in ``_speedups.pyx`` mirrors these functions exactly
 Permutations are image tuples over 0-based points.
 """
 
+from operator import itemgetter
+
 BACKEND = "pure"
 
 
@@ -17,15 +19,20 @@ def closure_elements(degree, generators, cap):
     ``None`` as soon as the closure would exceed ``cap`` elements.
     """
     ident = tuple(range(degree))
-    gens = [tuple(g) for g in generators]
+    if degree <= 1:
+        # the identity is the only permutation; itemgetter needs two indices
+        # to return a tuple
+        return [ident]
+    # itemgetter(*g)(e) == (e[g[0]], ..., e[g[n-1]]), the images of e * g
+    getters = [itemgetter(*g) for g in generators]
     seen = {ident}
     queue = [ident]
     qi = 0
     while qi < len(queue):
         e = queue[qi]
         qi += 1
-        for g in gens:
-            w = tuple(e[g[i]] for i in range(degree))
+        for get in getters:
+            w = get(e)
             if w not in seen:
                 if len(seen) >= cap:
                     return None

@@ -500,14 +500,20 @@ class PermutationGroup:
         """A minimal nontrivial block system, or None when primitive.
 
         Chooses the smallest block over ``minimal_block(0, b)`` (ties to the
-        smallest ``b``) and returns its cell partition.
+        smallest ``b``) and returns its cell partition.  Only the least ``b``
+        of each orbit of the generators fixing 0 is tried: such a generator
+        maps the finest block system joining {0, b} onto the one joining
+        {0, g(b)}, and block systems are invariant, so the two are equal
+        (Atkinson, Math. Comp. 29, 1975).
         """
         if not self.is_transitive():
             return None
+        stabilizing = [g.images for g in self.generators if g(0) == 0]
         best = None
-        for b in range(1, self.degree):
+        # orbits come ordered by least point, so the first one is {0}
+        for orbit in orbit_partition(self.degree, stabilizing)[1:]:
             # cells of a block system have equal size: fewest points, most cells
-            cells = self._minimal_block_partition(0, b)
+            cells = self._minimal_block_partition(0, min(orbit))
             if len(cells) > 1 and (best is None or len(cells) > len(best)):
                 best = cells
         return best

@@ -392,6 +392,8 @@ def parse_perm_file(text: str) -> tuple:
         n = int(parts[1])
     except ValueError:
         raise ParseError(f"bad degree {parts[1]!r}", lineno) from None
+    if n < 1:
+        raise ParseError(f"degree must be positive, got {n}", lineno)
     perms = []
     for lineno, line in lines[1:]:
         try:

@@ -77,6 +77,19 @@ def test_perm_file_with_a_repeated_point_exit_code(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("header", ["perm 0", "perm -3"])
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_perm_file_with_a_non_positive_degree_exit_code(capsys, tmp_path,
+                                                         command, header):
+    path = tmp_path / "empty.perm"
+    path.write_text(header + "\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 64
+    assert out == ""
+    assert "degree must be positive" in err
+    assert "Traceback" not in err
+
+
 # -- analyze ------------------------------------------------------------------------
 
 

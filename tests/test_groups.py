@@ -12,10 +12,15 @@ from quandlekit import (
     CapExceeded,
     Permutation,
     PermutationGroup,
+    affine_quandle,
     alternating_group,
+    conjugacy_class_quandle,
+    inner_group,
+    make_affine_spec,
     symmetric_group,
 )
 from quandlekit.errors import NotTransitive
+from quandlekit.perm import all_partitions, canonical_of_cycle_type
 
 from oracle_utils import brute_block_partitions
 
@@ -278,21 +283,71 @@ def test_primitivity_matches_brute_force(name, make):
     assert G.is_primitive() == (not nontrivial)
 
 
-@pytest.mark.parametrize("name,make", ORACLE_GROUPS)
-def test_block_system_witness_matches_brute_force(name, make):
-    G = make()
-    witness = G.block_system_witness()
+def brute_witness(G):
+    """The block system the witness must name, read off every partition:
+    the smallest block through 0, ties to the least other point in it."""
     systems = [s for s in brute_block_partitions(G) if 1 < len(s) < G.degree]
     if not G.is_transitive() or not systems:
-        assert witness is None
-        return
+        return None
 
     def cell_of_0(system):
         return next(c for c in system if 0 in c)
 
-    # smallest block through 0, ties to the least other point in it
     best = min(systems, key=lambda s: (len(cell_of_0(s)), min(cell_of_0(s) - {0})))
-    assert set(witness) == set(best)
+    return sorted(best, key=min)
+
+
+def all_b_witness(G):
+    """The witness by one refinement for every point b != 0."""
+    if not G.is_transitive():
+        return None
+    best = None
+    for b in range(1, G.degree):
+        cells = G._minimal_block_partition(0, b)
+        if len(cells) > 1 and (best is None or len(cells) > len(best)):
+            best = cells
+    return best
+
+
+@pytest.mark.parametrize("name,make", ORACLE_GROUPS)
+def test_block_system_witness_matches_brute_force(name, make):
+    G = make()
+    assert G.block_system_witness() == brute_witness(G)
+
+
+def test_inner_group_witness_matches_brute_force(catalog):
+    # the translation of 0 fixes 0, so these groups have generators fixing 0
+    checked = 0
+    for name, rack in catalog:
+        if not rack.is_quandle or rack.n > 8:
+            continue
+        G = inner_group(rack)
+        assert G.block_system_witness() == brute_witness(G), name
+        checked += 1
+    assert checked >= 10
+
+
+def _class_quandles(degree):
+    G = symmetric_group(degree)
+    for parts in all_partitions(degree)[:-1]:  # all but the identity
+        rep = canonical_of_cycle_type(degree, parts)
+        yield f"class-s{degree}-{parts}", conjugacy_class_quandle(G, rep).rack
+
+
+def _large_quandles():
+    yield from _class_quandles(5)
+    yield from _class_quandles(6)
+    for alpha in (2, 3, 60):
+        yield (f"affine-z61-a{alpha}",
+               affine_quandle(make_affine_spec([61], alpha)).rack)
+
+
+@pytest.mark.parametrize(
+    "rack", [pytest.param(rack, id=name) for name, rack in _large_quandles()])
+def test_witness_matches_the_all_b_scan_on_large_quandles(rack):
+    G = inner_group(rack)
+    assert any(g(0) == 0 for g in G.generators)
+    assert G.block_system_witness() == all_b_witness(G)
 
 
 @pytest.mark.parametrize("name,make", ORACLE_GROUPS)
