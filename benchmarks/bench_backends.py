@@ -2,8 +2,16 @@
 """Benchmark the compiled kernels against the pure-Python twins.
 
 Runs the three hot kernels on representative desk-scale workloads and
-prints a timing table.  Usage: ``python benchmarks/bench_backends.py``.
+prints a timing table.  Each (kernel, backend) pair is timed as the median
+of at least ``MIN_REPEATS`` calls taking at least ``MIN_TOTAL_S`` seconds
+in all, with the fastest and slowest call beside it; the speedup is the
+ratio of the medians.  The two backends' calls alternate, so a slow stretch
+of the machine, which can last seconds, slows both sides of the ratio; the
+garbage collector is off while timing, as in ``timeit``.
+Usage: ``python benchmarks/bench_backends.py``.
 """
+import gc
+import statistics
 import time
 
 from quandlekit import Permutation, conjugacy_class_quandle, symmetric_group
@@ -14,14 +22,28 @@ try:
 except ImportError:
     _speedups = None
 
+MIN_REPEATS = 15
+MIN_TOTAL_S = 0.5
 
-def bench(fn, *args, repeat=3):
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+
+def bench(fns, args):
+    """Call the functions in turn until each has run at least MIN_REPEATS
+    times and MIN_TOTAL_S seconds; per function, (median, min, max) seconds
+    per call and the result of its last call."""
+    times = [[] for _ in fns]
+    results = [None] * len(fns)
+    gc.collect()
+    gc.disable()
+    try:
+        while any(len(t) < MIN_REPEATS or sum(t) < MIN_TOTAL_S for t in times):
+            for i, fn in enumerate(fns):
+                t0 = time.perf_counter()
+                results[i] = fn(*args)
+                times[i].append(time.perf_counter() - t0)
+    finally:
+        gc.enable()
+    stats = [(statistics.median(t), min(t), max(t)) for t in times]
+    return stats, results
 
 
 def workloads():
@@ -44,17 +66,23 @@ def workloads():
            "conjugation_table", (labels, 6))
 
 
+def _cell(t):
+    median, lo, hi = t
+    return f"{median * 1e3:9.2f} ({lo * 1e3:.2f}-{hi * 1e3:.2f})"
+
+
 def main():
     if _speedups is None:
         print("compiled backend unavailable; build the extension first")
         return
-    print(f"{'workload':55s} {'pure':>9s} {'cython':>9s} {'speedup':>8s}")
+    print(f"{'workload':55s} {'pure ms (min-max)':>28s} "
+          f"{'cython ms (min-max)':>24s} {'speedup':>8s}")
     for title, fname, args in workloads():
-        t_pure, r_pure = bench(getattr(_pure, fname), *args)
-        t_fast, r_fast = bench(getattr(_speedups, fname), *args)
+        (t_pure, t_fast), (r_pure, r_fast) = bench(
+            [getattr(_pure, fname), getattr(_speedups, fname)], args)
         assert r_pure == r_fast, f"backend mismatch in {fname}"
-        print(f"{title:55s} {t_pure:8.3f}s {t_fast:8.3f}s "
-              f"{t_pure / t_fast:7.1f}x")
+        print(f"{title:55s} {_cell(t_pure):>28s} {_cell(t_fast):>24s} "
+              f"{t_pure[0] / t_fast[0]:7.1f}x")
 
 
 if __name__ == "__main__":

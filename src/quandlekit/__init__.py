@@ -81,6 +81,7 @@ from .conjecture import (
     CrosscheckResult,
     HayashiVerdict,
     IntersectionEvidence,
+    alternating_class_divisibility_check,
     divisibility_crosscheck,
     full_report,
     hayashi_check,

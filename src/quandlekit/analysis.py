@@ -122,8 +122,7 @@ def is_faithful(X: RackTable) -> bool:
 def per_element_cycle_types(X: RackTable) -> list:
     """Cycle type of every translation (serves non-connected racks, where
     no single profile exists)."""
-    X._require_rack()
-    return [X.phi(x).cycle_type() for x in range(X.n)]
+    return list(X.cycle_types())
 
 
 def profile(X: RackTable) -> Profile:
@@ -131,7 +130,7 @@ def profile(X: RackTable) -> Profile:
     X._require_rack()
     if not is_connected(X):
         raise NotConnected("profile is defined for connected racks only")
-    types = {X.phi(x).cycle_type() for x in range(X.n)}
+    types = set(X.cycle_types())
     if len(types) != 1:
         raise TheoremViolation(
             "connected rack has translations of unequal cycle type")
@@ -185,14 +184,14 @@ def orbit_divisibility(X: RackTable, x: int, y: int) -> OrbitSizes:
     return OrbitSizes(lam, lam_bar)
 
 
-def inner_action_primitivity(X: RackTable,
-                             cap: int = DEFAULT_CAP) -> PrimitivityReport:
+def inner_action_primitivity(X: RackTable) -> PrimitivityReport:
     """Primitivity of the inner action of a connected rack; when imprimitive
     the witness is the block system generated by a minimal nontrivial block.
+    The block search never lists group elements, so no cap applies.
     """
     if not is_connected(X):
         raise NotConnected("primitivity concerns connected racks")
-    G = inner_group(X, cap=cap)
+    G = inner_group(X)
     witness = G.block_system_witness()
     if witness is None:
         return PrimitivityReport(True, None)

@@ -18,7 +18,14 @@ import sys
 from typing import Optional
 
 from . import constructors
-from .conjecture import full_report, hayashi_check
+from .analysis import profile
+from .conjecture import (
+    alternating_class_divisibility_check,
+    full_report,
+    hayashi_check,
+    primitive_divisibility_check,
+    symmetric_class_divisibility_check,
+)
 from .errors import (
     BoundExceeded,
     CapExceeded,
@@ -280,63 +287,40 @@ def _scan_rows_sym_alt(records, alt: bool):
 
 
 def _cmd_scan(args) -> int:
+    bound = {} if args.bound is None else {"bound": args.bound}
+    candidate = False
     if args.sym is not None:
-        bound = args.bound if args.bound is not None else constructors.CLASS_SCAN_BOUND
-        records = constructors.symmetric_class_scan(
-            args.sym, bound=bound, cap=args.cap)
+        records = symmetric_class_divisibility_check(
+            args.sym, cap=args.cap, **bound)
         rows = _scan_rows_sym_alt(records, alt=False)
         title = f"symmetric-group classes, degree {args.sym}"
-        failures = [r for r in records if r.connected and not r.hayashi.holds]
-        if failures:
-            raise TheoremViolation(
-                f"connected symmetric class fails divisibility: "
-                f"{failures[0].parts}")
-        candidate = False
     elif args.alt is not None:
-        bound = args.bound if args.bound is not None else constructors.CLASS_SCAN_BOUND
-        records = constructors.alternating_class_scan(
-            args.alt, bound=bound, cap=args.cap)
+        records = alternating_class_divisibility_check(
+            args.alt, cap=args.cap, **bound)
         rows = _scan_rows_sym_alt(records, alt=True)
         title = f"alternating-group classes, degree {args.alt}"
-        bad_witness = [r for r in records if r.split_witness_ok is False]
-        for r in bad_witness:
-            print(f"quandlekit: SPLIT-WITNESS-FAIL for type {r.parts}",
-                  file=sys.stderr)
-        failures = [r for r in records if r.connected and not r.hayashi.holds]
-        if failures:
-            raise TheoremViolation(
-                f"connected alternating class fails divisibility: "
-                f"{failures[0].parts}")
-        candidate = False
+        for r in records:
+            if r.split_witness_ok is False:
+                print(f"quandlekit: SPLIT-WITNESS-FAIL for type {r.parts}",
+                      file=sys.stderr)
     else:
         n = args.enumerate_n
         if args.racks:
-            bound = args.bound if args.bound is not None else 6
-            racks = constructors.enumerate_connected_racks(n, bound=bound)
+            racks = constructors.enumerate_connected_racks(n, **bound)
             title = f"connected racks with {n} elements"
         else:
-            bound = (args.bound if args.bound is not None
-                     else constructors.ENUMERATION_BOUND)
-            racks = constructors.enumerate_connected_quandles(n, bound=bound)
+            racks = constructors.enumerate_connected_quandles(n, **bound)
             title = f"connected quandles with {n} elements"
         rows = []
-        candidate = False
-        from .analysis import inner_action_primitivity, profile as get_profile
-
         for i, rack in enumerate(racks, start=1):
-            prof = get_profile(rack)
+            prof = profile(rack)
             verdict = hayashi_check(prof)
-            prim = inner_action_primitivity(rack, cap=args.cap)
-            if prim.primitive and not verdict.holds:
-                raise TheoremViolation(
-                    f"primitive connected table #{i} fails divisibility")
-            if not verdict.holds:
-                candidate = True
+            candidate = candidate or not verdict.holds
             rows.append({
                 "index": i,
                 "kind": rack.kind,
                 "connected": True,
-                "primitive": prim.primitive,
+                "primitive": primitive_divisibility_check(rack).primitive,
                 "profile": str(prof),
                 "hayashi": str(verdict),
             })

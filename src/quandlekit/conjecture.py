@@ -1,13 +1,14 @@
 """Profile-divisibility verdicts and their group-theoretic evidence.
 
 The central question: in the profile of a finite connected rack, does every
-cycle length divide the largest one (Hayashi's conjecture)?  Two proved
+cycle length divide the largest one (Hayashi's conjecture)?  Three proved
 special cases act as harnesses here -- a primitive inner action forces the
 divisibility, and so does being a connected conjugacy class of a symmetric
-group.  A computed violation of either harness therefore aborts with
-:class:`TheoremViolation` (it can only be an implementation bug), while a
-violation outside them would be a genuine counterexample candidate and is
-reported as data.
+or of an alternating group.  Each case is enforced in one function of this
+module (:func:`primitive_divisibility_check` and :func:`_class_case`): a
+computed violation aborts with :class:`TheoremViolation` (it can only be an
+implementation bug), while a violation outside them would be a genuine
+counterexample candidate and is reported as data.
 
 CLI exit codes derive from these outcomes:
 
@@ -127,19 +128,20 @@ def divisibility_crosscheck(X: RackTable,
 class PrimitiveCheckResult:
     primitive: bool
     hayashi: Optional[HayashiVerdict]  # None when the hypothesis is not met
+    witness_blocks: Optional[tuple] = None  # cells, when imprimitive
 
     @property
     def vacuous(self) -> bool:
         return not self.primitive
 
 
-def primitive_divisibility_check(X: RackTable,
-                                 cap: int = DEFAULT_CAP) -> PrimitiveCheckResult:
+def primitive_divisibility_check(X: RackTable) -> PrimitiveCheckResult:
     """If the inner action is primitive, the divisibility verdict must hold;
-    a computed failure falsifies a proved statement and raises."""
-    report = analysis.inner_action_primitivity(X, cap=cap)
+    a computed failure falsifies a proved statement and raises.  Reports,
+    enumerations and direct calls all reach the primitive case here."""
+    report = analysis.inner_action_primitivity(X)
     if not report.primitive:
-        return PrimitiveCheckResult(False, None)
+        return PrimitiveCheckResult(False, None, report.witness_blocks)
     verdict = hayashi_check(analysis.profile(X))
     if not verdict.holds:
         raise TheoremViolation(
@@ -154,10 +156,23 @@ def symmetric_class_divisibility_check(d: int,
     """Scan the symmetric-group classes of degree d and assert the
     divisibility verdict on every connected one."""
     records = constructors.symmetric_class_scan(d, bound=bound, cap=cap)
+    return _class_case(records, "symmetric", d)
+
+
+def alternating_class_divisibility_check(d: int,
+                                         bound: int = constructors.CLASS_SCAN_BOUND,
+                                         cap: int = DEFAULT_CAP) -> list:
+    """Scan the alternating-group classes of degree d (split halves
+    separately) and assert the divisibility verdict on every connected one."""
+    records = constructors.alternating_class_scan(d, bound=bound, cap=cap)
+    return _class_case(records, "alternating", d)
+
+
+def _class_case(records: list, group: str, d: int) -> list:
     for rec in records:
         if rec.connected and not rec.hayashi.holds:
             raise TheoremViolation(
-                f"connected symmetric-group class {rec.parts} of degree {d} "
+                f"connected {group}-group class {rec.parts} of degree {d} "
                 f"fails divisibility: {rec.hayashi}")
     return records
 
@@ -320,21 +335,17 @@ def full_report(X: RackTable, cap: int = DEFAULT_CAP) -> AnalysisReport:
         prof = analysis.profile(X)
         least_above_one = prof.lengths[0] > 1
         verdict = hayashi_check(prof)
-        prim = analysis.inner_action_primitivity(X, cap=cap)
+        prim = primitive_divisibility_check(X)
         primitive = prim.primitive
         witness_blocks = prim.witness_blocks
-        if primitive and not verdict.holds:
-            raise TheoremViolation(
-                "primitive connected rack failing profile divisibility")
         evidence = intersection_evidence(X, 0, cap=cap)
-        lambda_parts = tuple(
-            LambdaPartCheck(
-                k,
-                analysis.expected_lambda_part_count(X, k),
-                _lambda_part_uniform(X, k),
-            )
-            for k in prof.lengths
-        )
+        lambda_parts = []
+        for k in prof.lengths:
+            expected = analysis.expected_lambda_part_count(X, k)
+            counts = analysis.lambda_part(X, k)
+            uniform = all(counts[p] == expected for p in range(X.n))
+            lambda_parts.append(LambdaPartCheck(k, expected, uniform))
+        lambda_parts = tuple(lambda_parts)
         k_tilde = tuple(analysis.k_tilde_block_diagnostic(X))
     else:
         reason = "rack is not connected"
@@ -363,8 +374,3 @@ def full_report(X: RackTable, cap: int = DEFAULT_CAP) -> AnalysisReport:
         skipped=tuple(skipped),
     )
 
-
-def _lambda_part_uniform(X: RackTable, k: int) -> bool:
-    counts = analysis.lambda_part(X, k)
-    expected = analysis.expected_lambda_part_count(X, k)
-    return all(counts.get(p, 0) == expected for p in range(X.n))

@@ -50,6 +50,17 @@ def cyclic_permutation_rack(n: int) -> RackTable:
     return RackTable([[(y + 1) % n for y in range(n)] for _ in range(n)])
 
 
+def _as_promised(table, promise: str, construction: str) -> RackTable:
+    """The validated table of a construction that always yields a
+    ``promise`` ("quandle" or "rack").  The validation verdict is read, not
+    recomputed; a broken promise can only be an implementation bug and
+    raises :class:`TheoremViolation`."""
+    rack = RackTable(table)
+    if not (rack.is_quandle if promise == "quandle" else rack.is_rack):
+        raise TheoremViolation(f"{construction} produced a non-{promise} table")
+    return rack
+
+
 # -- conjugation racks -----------------------------------------------------------
 
 
@@ -73,14 +84,11 @@ def rack_from_conjugation_closed(perms: Sequence[Permutation]):
     table = _kernels.conjugation_table([p.images for p in labels], degree)
     if table is None:
         raise ValueError("permutation set is not closed under conjugation")
-    return RackTable(table), labels
+    return _as_promised(table, "quandle", "conjugation construction"), labels
 
 
-def conjugacy_class_quandle(G: PermutationGroup, g: Permutation,
-                            cap: Optional[int] = None) -> ClassQuandle:
+def conjugacy_class_quandle(G: PermutationGroup, g: Permutation) -> ClassQuandle:
     """The quandle of the conjugacy class of ``g`` in ``G``."""
-    if cap is not None and cap != G.cap:
-        G = PermutationGroup(G.degree, G.generators, cap=cap)
     cls = G.conjugacy_class(g)
     rack, labels = rack_from_conjugation_closed(cls)
     return ClassQuandle(rack, labels, G.degree)
@@ -130,8 +138,7 @@ def homogeneous_quandle(spec: HomogeneousSpec) -> RackTable:
     """Coset-space quandle: xH ▷ yH = x·alpha(x^-1 y)·H.
 
     Coset representatives are the least elements in the fixed ordering of
-    group elements.  The construction always yields a quandle; a failed
-    validation therefore raises :class:`TheoremViolation`.
+    group elements.  The construction always yields a quandle.
     """
     G = spec.group
     elems = sorted(G.elements())
@@ -158,11 +165,7 @@ def homogeneous_quandle(spec: HomogeneousSpec) -> RackTable:
             z = x * alpha[xinv * y]
             row.append(index[rep_of[z]])
         table.append(row)
-    rack = RackTable(table)
-    if not rack.is_quandle:
-        raise TheoremViolation(
-            "homogeneous construction produced a non-quandle table")
-    return rack
+    return _as_promised(table, "quandle", "homogeneous construction")
 
 
 def regular_abelian_group(orders: Sequence[int]):
@@ -270,9 +273,7 @@ def affine_quandle(spec: AffineSpec) -> AffineResult:
             img = alpha[index[d]]
             row.append(index[tuple((a + b) % o for a, b, o in zip(img, x, orders))])
         table.append(row)
-    rack = RackTable(table)
-    if not rack.is_quandle:
-        raise TheoremViolation("affine construction produced a non-quandle table")
+    rack = _as_promised(table, "quandle", "affine construction")
     if is_connected(rack) != beta_bijective:
         raise TheoremViolation(
             "displacement-map verdict disagrees with orbit connectedness")
@@ -390,8 +391,7 @@ def _connected_table(table) -> bool:
     return len(orbit_partition(len(table), table)) == 1
 
 
-def _dedup_tables(tables: list) -> list:
-    racks = [RackTable(t) for t in tables]
+def _dedup_tables(racks: list) -> list:
     keyed = sorted(racks, key=lambda r: (fingerprint(r), r.table))
     kept: list = []
     by_fp: Dict[str, list] = {}
@@ -410,11 +410,7 @@ def enumerate_connected_quandles(n: int,
     deterministic order (fingerprint, then table)."""
     if n > bound:
         raise BoundExceeded(f"enumeration bound is {bound}, requested {n}")
-    if n < 1:
-        raise ValueError("order must be positive")
-    tables = [t for t in _search_connected_tables(n, quandle_only=True)
-              if _connected_table(t)]
-    return _dedup_tables(tables)
+    return _enumerate(n, quandle_only=True)
 
 
 def enumerate_connected_racks(n: int, bound: int = 6) -> list:
@@ -423,11 +419,17 @@ def enumerate_connected_racks(n: int, bound: int = 6) -> list:
     the smaller default bound."""
     if n > bound:
         raise BoundExceeded(f"rack enumeration bound is {bound}, requested {n}")
+    return _enumerate(n, quandle_only=False)
+
+
+def _enumerate(n: int, quandle_only: bool) -> list:
     if n < 1:
         raise ValueError("order must be positive")
-    tables = [t for t in _search_connected_tables(n, quandle_only=False)
-              if _connected_table(t)]
-    return _dedup_tables(tables)
+    promise = "quandle" if quandle_only else "rack"
+    racks = [_as_promised(t, promise, f"{promise} enumeration")
+             for t in _search_connected_tables(n, quandle_only)
+             if _connected_table(t)]
+    return _dedup_tables(racks)
 
 
 # -- class scans -------------------------------------------------------------------
@@ -497,23 +499,21 @@ def _splits_in_alternating(parts) -> bool:
 
 
 def alternating_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
-                           cap: int = DEFAULT_CAP,
-                           check_split_witness: Optional[bool] = None) -> list:
+                           cap: int = DEFAULT_CAP) -> list:
     """Records for the noncentral conjugacy classes of the alternating
     group of degree d.  Split classes (one symmetric-group class breaking
     into two) produce two records, and the observed split is cross-checked
     against the odd-and-distinct-lengths criterion.
 
-    For split classes the trivial-intersection witness is verified when
-    ``check_split_witness`` is enabled (default: degrees up to 6, where the
-    inner groups stay small).
+    For split classes the trivial-intersection witness is verified up to
+    degree 6, where the inner groups stay small.  From degree 7 on
+    ``split_witness_ok`` is None, which ``scan --alt`` prints as
+    ``split_witness=None``.
     """
     if d > bound:
         raise BoundExceeded(f"class scan bound is {bound}, requested {d}")
     if d < 1:
         raise ValueError("degree must be positive")
-    if check_split_witness is None:
-        check_split_witness = d <= 6
     A = alternating_group(d, cap=cap)
     out = []
     for parts in all_partitions(d):
@@ -545,5 +545,5 @@ def alternating_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
                     f"split halves of type {parts} are not disjoint in degree {d}")
             out.append(
                 _class_record(half, parts, split=label,
-                              check_witness=check_split_witness, cap=cap))
+                              check_witness=d <= 6, cap=cap))
     return out

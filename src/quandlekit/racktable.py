@@ -96,7 +96,7 @@ def validate(table: Sequence[Sequence[int]]) -> AxiomDiagnosis:
 class RackTable:
     """An immutable operation table together with its validation verdict."""
 
-    __slots__ = ("n", "table", "diagnosis", "_rows", "_orbits")
+    __slots__ = ("n", "table", "diagnosis", "_rows", "_orbits", "_cycle_types")
 
     def __init__(self, table: Sequence[Sequence[int]],
                  diagnosis: Optional[AxiomDiagnosis] = None):
@@ -105,6 +105,7 @@ class RackTable:
         self.diagnosis = diagnosis if diagnosis is not None else validate(self.table)
         self._rows = None
         self._orbits = None
+        self._cycle_types = None
 
     # -- constructors -----------------------------------------------------
 
@@ -164,6 +165,13 @@ class RackTable:
         self._require_rack()
         return tuple(dict.fromkeys(self._phi_rows()))
 
+    def cycle_types(self) -> tuple:
+        """Cycle type of every left translation, indexed by acting element;
+        derived once per table."""
+        if self._cycle_types is None:
+            self._cycle_types = tuple(p.cycle_type() for p in self.translations())
+        return self._cycle_types
+
     def inner_orbit_partition(self) -> list:
         """Orbits of the point set under all rows (frozensets, by least point)."""
         if self._orbits is None:
@@ -207,7 +215,7 @@ class IsoWitness:
 
 def _element_invariant(X: RackTable, x: int, orbit_size) -> tuple:
     return (
-        X.phi(x).cycle_type().parts,
+        X.cycle_types()[x].parts,
         X.table[x][x] == x,
         orbit_size[x],
     )
@@ -228,8 +236,9 @@ def fingerprint(X: RackTable) -> str:
     """
     X._require_rack()
     sizes = _orbit_size_map(X)
+    types = X.cycle_types()
     items = sorted(
-        f"{X.phi(x).cycle_type()}|{'q' if X.table[x][x] == x else 'r'}|{sizes[x]}"
+        f"{types[x]}|{'q' if X.table[x][x] == x else 'r'}|{sizes[x]}"
         for x in range(X.n)
     )
     orbit_sizes = sorted(len(o) for o in X.inner_orbit_partition())

@@ -280,6 +280,82 @@ def test_seed_flag_is_gone(capsys):
     assert exc.value.code == 64
 
 
+# -- theorem harnesses ------------------------------------------------------------------
+
+
+def assert_theorem_exit(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "THEOREM FALSIFIED" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture()
+def failing_verdicts(monkeypatch):
+    """Every divisibility verdict the harnesses compute reads as failing."""
+    from quandlekit import conjecture
+
+    monkeypatch.setattr(conjecture, "hayashi_check",
+                        lambda p: conjecture.HayashiVerdict(False, ((2, 3),)))
+
+
+def test_primitive_harness_wiring_in_analyze(capsys, tmp_path, failing_verdicts):
+    from quandlekit import affine_quandle, make_affine_spec
+
+    path = tmp_path / "affine-5.rtbl"
+    path.write_text(emit_rtbl(affine_quandle(make_affine_spec([5], 2)).rack))
+    assert_theorem_exit(capsys, "analyze", str(path))
+
+
+def test_primitive_harness_wiring_in_enumerate(capsys, failing_verdicts):
+    assert_theorem_exit(capsys, "scan", "--enumerate", "5")
+
+
+@pytest.mark.parametrize("argv", [["--alt", "5"], ["--sym", "4"]])
+def test_class_harness_wiring(capsys, failing_verdicts, argv):
+    assert_theorem_exit(capsys, "scan", *argv)
+
+
+def _swap_in_row_0(table):
+    table = [list(row) for row in table]
+    table[0][0], table[0][1] = table[0][1], table[0][0]
+    return table
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "conj d=4 type=3,1"], ["scan", "--sym", "4"],
+])
+def test_conjugation_construction_promise(capsys, monkeypatch, argv):
+    from quandlekit import _kernels
+
+    conjugation_table = _kernels.conjugation_table
+    monkeypatch.setattr(_kernels, "conjugation_table",
+                        lambda *a: _swap_in_row_0(conjugation_table(*a)))
+    assert_theorem_exit(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--enumerate", "3"], ["scan", "--enumerate", "3", "--racks"],
+])
+def test_enumeration_promise(capsys, monkeypatch, argv):
+    from quandlekit import constructors
+
+    search = constructors._search_connected_tables
+    monkeypatch.setattr(constructors, "_search_connected_tables",
+                        lambda *a, **k: [_swap_in_row_0(t) for t in search(*a, **k)])
+    assert_theorem_exit(capsys, *argv)
+
+
+def test_quandle_enumeration_promise_excludes_racks(capsys, monkeypatch):
+    from quandlekit import constructors
+
+    cyclic = tuple(tuple((y + 1) % 3 for y in range(3)) for _ in range(3))
+    monkeypatch.setattr(constructors, "_search_connected_tables",
+                        lambda *a, **k: [cyclic])
+    assert_theorem_exit(capsys, "scan", "--enumerate", "3")
+
+
 # -- determinism ---------------------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from quandlekit import (
     CycleType,
     NotConnected,
     TheoremViolation,
+    alternating_class_divisibility_check,
     dihedral_quandle,
     divisibility_crosscheck,
     enumerate_connected_quandles,
@@ -201,6 +202,28 @@ def test_affine_report(golden):
     assert rep.connected
     assert str(rep.profile) == "1^1 4^1"
     assert rep.hayashi.holds
+
+
+def test_full_report_derives_each_cycle_type_once(monkeypatch):
+    from quandlekit import smallquandle_12_4
+
+    built = []
+    from_lengths = CycleType.from_lengths.__func__
+
+    def counting(cls, lengths):
+        built.append(1)
+        return from_lengths(cls, lengths)
+
+    monkeypatch.setattr(CycleType, "from_lengths", classmethod(counting))
+    X = smallquandle_12_4()
+    full_report(X)
+    assert len(built) == X.n
+
+
+def test_alternating_check_small_degrees():
+    for d, expected_connected in ((3, 2), (4, 2), (5, 4)):
+        records = alternating_class_divisibility_check(d)
+        assert sum(1 for r in records if r.connected) == expected_connected
 
 
 def test_theorem_violation_is_a_distinct_error():
