@@ -49,18 +49,25 @@ def a1_violations(rows, limit=-1):
     Scans in lexicographic (x, y, z) order; a negative ``limit`` collects all
     violations.
     """
-    n = len(rows)
+    # getters[y](r) == (r[rows[y][0]], ..., r[rows[y][n-1]]): for each pair
+    # (x, y) both sides of the identity are built as whole rows in one C
+    # call each, and z is walked only where the rows differ.  With n == 1
+    # itemgetter returns an int, and comparing two ints is just as exact.
+    getters = [itemgetter(*r) for r in rows]
+    rng = range(len(rows))
     out = []
-    for x in range(n):
+    for x in rng:
         rx = rows[x]
-        for y in range(n):
-            ry = rows[y]
+        gx = getters[x]
+        for y in rng:
             rt = rows[rx[y]]
-            for z in range(n):
-                if rx[ry[z]] != rt[rx[z]]:
-                    out.append((x, y, z))
-                    if 0 <= limit <= len(out):
-                        return out
+            if getters[y](rx) != gx(rt):
+                ry = rows[y]
+                for z in rng:
+                    if rx[ry[z]] != rt[rx[z]]:
+                        out.append((x, y, z))
+                        if 0 <= limit <= len(out):
+                            return out
     return out
 
 
@@ -72,18 +79,20 @@ def conjugation_table(elements, degree):
     """
     elems = [tuple(e) for e in elements]
     index = {e: i for i, e in enumerate(elems)}
-    rng = range(degree)
+    if degree <= 1:
+        # every element is the identity, its own conjugate; itemgetter needs
+        # two indices to return a tuple
+        return [[index[e] for e in elems] for _ in elems]
+    # itemgetter(*ey)(ex) is ex * ey; itemgetter(*inv)(u) is u * ex^-1
+    getters = [itemgetter(*e) for e in elems]
     table = []
     for ex in elems:
         inv = [0] * degree
         for i, j in enumerate(ex):
             inv[j] = i
-        row = []
-        for ey in elems:
-            w = tuple(ex[ey[inv[i]]] for i in rng)
-            idx = index.get(w)
-            if idx is None:
-                return None
-            row.append(idx)
+        get_inv = itemgetter(*inv)
+        row = [index.get(get_inv(gy(ex))) for gy in getters]
+        if None in row:
+            return None
         table.append(row)
     return table

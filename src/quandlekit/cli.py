@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite racks and quandles: validation, analysis, "
                     "construction, and divisibility scans.",
     )
-    parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    parser.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                         help="group materialization cap (default %(default)s)")
     parser.add_argument("--out", metavar="PATH",
                         help="write output to PATH instead of stdout")
@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="connected quandles with N elements")
     p.add_argument("--racks", action="store_true",
                    help="with --enumerate: include non-quandle racks")
-    p.add_argument("--bound", type=int, default=None,
+    p.add_argument("--bound", type=_positive_int, default=None,
                    help="override the search/scan bound")
     p.add_argument("--json", action="store_true")
     return parser
@@ -287,6 +287,8 @@ def _scan_rows_sym_alt(records, alt: bool):
 
 
 def _cmd_scan(args) -> int:
+    if args.racks and args.enumerate_n is None:
+        raise ParseError("--racks needs --enumerate")
     bound = {} if args.bound is None else {"bound": args.bound}
     candidate = False
     if args.sym is not None:

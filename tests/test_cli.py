@@ -274,6 +274,30 @@ def test_scan_rejects_a_non_positive_size(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--cap", "-5", "scan", "--sym", "4"],
+    ["--cap", "0", "scan", "--sym", "4"],
+    ["scan", "--enumerate", "4", "--bound", "-2"],
+    ["scan", "--sym", "4", "--bound", "0"],
+])
+def test_cap_and_bound_reject_values_below_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert "positive integer" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", [["--sym", "4"], ["--alt", "4"]])
+def test_scan_racks_needs_enumerate(capsys, mode):
+    code, out, err = run(capsys, "scan", *mode, "--racks")
+    assert code == 64
+    assert out == ""
+    assert "--racks needs --enumerate" in err
+    assert "Traceback" not in err
+
+
 def test_seed_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--seed", "1", "scan", "--sym", "3"])
