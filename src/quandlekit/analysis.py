@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     BoundExceeded,
@@ -240,15 +240,14 @@ def conjugation_rack_quotient_check(perms: Sequence[Permutation],
     return inn_order * G.center_order() == G.order()
 
 
-def k_tilde_block_diagnostic(X: RackTable,
-                             ks: Optional[Iterable[int]] = None) -> list:
+def k_tilde_block_diagnostic(X: RackTable) -> list:
     """Probe, for each profile length k, whether the distinct k-tilde parts
     of the translations form a partition and, if so, a block system of the
     inner action.  No general theorem backs this; outcomes are recorded."""
     p = profile(X)
     G = inner_group(X)
     out = []
-    for k in (p.lengths if ks is None else ks):
+    for k in p.lengths:
         cells = sorted({t.k_tilde_part(k) for t in X.distinct_translations()},
                        key=min)
         flat = sorted(q for c in cells for q in c)

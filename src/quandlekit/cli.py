@@ -100,19 +100,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path: Optional[str]):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
 
-def _read_rack(path: str) -> RackTable:
+def _read_text(path: str) -> str:
+    """The text of an input file; an unreadable or undecodable file is
+    malformed input."""
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-    return parse_rack_file(text)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not {exc.encoding} text "
+                         f"({exc.reason} at byte {exc.start})") from None
+
+
+def _read_rack(path: str) -> RackTable:
+    return parse_rack_file(_read_text(path))
 
 
 def _cmd_validate(args) -> int:
@@ -195,6 +206,8 @@ def construct_from_spec(spec: str, cap: int = DEFAULT_CAP):
     if kind == "conj":
         _require_keys(kind, pairs, ["d", "type"])
         d = _int(pairs["d"])
+        if d < 1:
+            raise ParseError(f"degree must be positive, got {d}")
         parts = tuple(sorted(_ints(pairs["type"]), reverse=True))
         if sum(parts) != d or any(p < 1 for p in parts):
             raise ParseError(f"type {pairs['type']!r} is not a partition of {d}")
@@ -227,12 +240,7 @@ def construct_from_spec(spec: str, cap: int = DEFAULT_CAP):
         from .perm import PermutationGroup
         from .racktable import parse_perm_file
 
-        try:
-            with open(pairs["group"]) as fh:
-                degree, gens = parse_perm_file(fh.read())
-        except OSError as exc:
-            raise ParseError(
-                f"cannot read {pairs['group']}: {exc.strerror}") from None
+        degree, gens = parse_perm_file(_read_text(pairs["group"]))
         group = PermutationGroup(degree, gens, cap=cap)
         sub_idx = _ints(pairs["sub"])
         for i in sub_idx:

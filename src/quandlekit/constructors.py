@@ -15,10 +15,8 @@ from . import _kernels
 from .errors import BoundExceeded, TheoremViolation
 from .perm import (
     DEFAULT_CAP,
-    CycleType,
     Permutation,
     PermutationGroup,
-    _unchecked,
     all_partitions,
     alternating_group,
     canonical_of_cycle_type,
@@ -108,15 +106,12 @@ class HomogeneousSpec:
 
 def make_homogeneous_spec(group: PermutationGroup,
                           subgroup_generators: Iterable[Permutation],
-                          alpha: Union[Mapping, Callable]) -> HomogeneousSpec:
-    """Normalize ``alpha`` to an element map and check the invariants:
-    alpha is an automorphism of the group and fixes the subgroup pointwise.
+                          alpha: Mapping) -> HomogeneousSpec:
+    """Check the invariants of ``alpha``, a map over all group elements:
+    it is an automorphism of the group and fixes the subgroup pointwise.
     """
     elems = group.elements()
-    if callable(alpha) and not isinstance(alpha, Mapping):
-        amap: Dict[Permutation, Permutation] = {g: alpha(g) for g in elems}
-    else:
-        amap = dict(alpha)
+    amap = dict(alpha)
     if set(amap) != set(elems) or set(amap.values()) != set(elems):
         raise ValueError("alpha is not a bijection of the group elements")
     for a in elems:
@@ -141,20 +136,16 @@ def homogeneous_quandle(spec: HomogeneousSpec) -> RackTable:
     group elements.  The construction always yields a quandle.
     """
     G = spec.group
-    elems = sorted(G.elements())
     sub = PermutationGroup(G.degree, spec.subgroup_generators, cap=G.cap)
     hset = sub.element_set()
     rep_of: Dict[Permutation, Permutation] = {}
     reps = []
-    for g in elems:
-        if g in rep_of:
-            continue
-        coset = sorted(g * h for h in hset)
-        rep = coset[0]
-        reps.append(rep)
-        for c in coset:
-            rep_of[c] = rep
-    reps.sort()
+    # in increasing order, the first element met of each coset is its least
+    for g in sorted(G.elements()):
+        if g not in rep_of:
+            reps.append(g)
+            for h in hset:
+                rep_of[g * h] = g
     index = {r: i for i, r in enumerate(reps)}
     alpha = spec.alpha
     table = []
@@ -218,10 +209,12 @@ def _affine_tuples(orders):
 
 
 def make_affine_spec(orders: Sequence[int],
-                     alpha: Union[int, Sequence[int], Mapping, Callable]) -> AffineSpec:
-    """Normalize ``alpha`` (a multiplier, an image-index list, a tuple map,
-    or a callable on tuples) and check it is an automorphism."""
+                     alpha: Union[int, Sequence[int], Callable]) -> AffineSpec:
+    """Normalize ``alpha`` (a multiplier, an image-index list, or a callable
+    on tuples) and check it is an automorphism."""
     orders = tuple(int(o) for o in orders)
+    if not orders:
+        raise ValueError("at least one cyclic order is needed")
     if any(o < 1 for o in orders):
         raise ValueError("cyclic orders must be positive")
     tuples = _affine_tuples(orders)
@@ -231,10 +224,8 @@ def make_affine_spec(orders: Sequence[int],
             index[tuple((alpha * a) % o for a, o in zip(t, orders))]
             for t in tuples
         ]
-    elif callable(alpha) and not isinstance(alpha, Mapping):
+    elif callable(alpha):
         images = [index[tuple(alpha(t))] for t in tuples]
-    elif isinstance(alpha, Mapping):
-        images = [index[tuple(alpha[t])] for t in tuples]
     else:
         images = [int(i) for i in alpha]
         if len(images) != len(tuples):
@@ -283,51 +274,35 @@ def affine_quandle(spec: AffineSpec) -> AffineResult:
 # -- enumeration -------------------------------------------------------------------
 
 
-def _perms_by_type(n: int):
-    by_type: Dict[CycleType, list] = {}
-    for images in itertools.permutations(range(n)):
-        p = _unchecked(images)
-        by_type.setdefault(p.cycle_type(), []).append(p)
-    return by_type
-
-
 def _search_connected_tables(n: int, quandle_only: bool) -> list:
     """Backtracking over row tuples with conjugation-closure propagation.
 
     Soundness of the restrictions, given that only connected results are
-    kept: all rows of a connected rack share one cycle type, the cycle
+    kept: all rows of a connected rack share one cycle type, so the
+    candidate rows are one conjugacy class of the symmetric group; the cycle
     length of x within its own row is constant across x, and a relabeling
     can always move the lexicographically least permutation realizing those
     invariants into row 0.
     """
-    if n == 1:
-        return [((0,),)]
-    by_type = _perms_by_type(n)
-    results = []
+    sym = symmetric_group(n)
+    tables = []
 
     def cycle_len_at(p: Permutation, point: int) -> int:
         return next(len(c) for c in p.cycles() if point in c)
 
-    for ctype in sorted(by_type):
-        own_lengths = (1,) if quandle_only else ctype.lengths
-        pool = by_type[ctype]
-        for own_len in own_lengths:
-            if quandle_only and ctype.multiplicity(1) == 0:
-                continue
+    for parts in all_partitions(n):
+        if quandle_only and 1 not in parts:
+            continue
+        pool = sym.conjugacy_class(canonical_of_cycle_type(n, parts))
+        for own_len in ((1,) if quandle_only else sorted(set(parts))):
             # candidate rows per point: own point on a cycle of length own_len
             cands = [
                 [p for p in pool if cycle_len_at(p, i) == own_len]
                 for i in range(n)
             ]
-            if not cands[0]:
-                continue
             rows: list = [None] * n
             rows[0] = min(cands[0])
-            results.extend(_complete_rows(n, rows, cands))
-
-    tables = []
-    for rows in results:
-        tables.append(tuple(p.images for p in rows))
+            tables.extend(_complete_rows(n, rows, cands))
     return tables
 
 
@@ -335,7 +310,8 @@ def _complete_rows(n: int, rows: list, cands: list) -> list:
     """DFS with trail-based undo.  Assigning rows x and y forces row
     ``rows[x](y)`` to be the conjugate of row y by row x; contradictions
     prune the branch.  Completed assignments satisfy left
-    self-distributivity by construction."""
+    self-distributivity by construction; each is returned as a table of
+    row images."""
     out = []
     trail = [0]
 
@@ -370,7 +346,7 @@ def _complete_rows(n: int, rows: list, cands: list) -> list:
         try:
             i = rows.index(None)
         except ValueError:
-            out.append(tuple(rows))
+            out.append(tuple(p.images for p in rows))
             return
         for cand in cands[i]:
             mark = len(trail)
@@ -515,6 +491,7 @@ def alternating_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
     if d < 1:
         raise ValueError("degree must be positive")
     A = alternating_group(d, cap=cap)
+    S = symmetric_group(d, cap=cap)
     out = []
     for parts in all_partitions(d):
         if all(p == 1 for p in parts):
@@ -522,28 +499,27 @@ def alternating_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
         rep = canonical_of_cycle_type(d, parts)
         if rep.sign() != 1:
             continue
-        sym_class = symmetric_group(d, cap=cap).conjugacy_class(rep)
-        sym_class_size = len(sym_class)
+        sym_class_size = len(S.conjugacy_class(rep))
         alt_class = A.conjugacy_class(rep)
         observed_split = len(alt_class) != sym_class_size
         if observed_split != _splits_in_alternating(parts):
             raise TheoremViolation(
                 f"class splitting criterion failed for type {parts} in degree {d}")
         if not observed_split:
-            quandle = conjugacy_class_quandle(A, rep)
+            quandle = ClassQuandle(*rack_from_conjugation_closed(alt_class), d)
             out.append(_class_record(quandle, parts))
             continue
         if 2 * len(alt_class) != sym_class_size:
             raise TheoremViolation(
                 f"split class of type {parts} is not halved in degree {d}")
         swap = Permutation.from_cycles(d, [[0, 1]])
-        other_rep = swap.conj(rep)
-        for label, r in (("a", rep), ("b", other_rep)):
-            half = conjugacy_class_quandle(A, r)
-            if label == "b" and set(half.labels) & set(alt_class):
-                raise TheoremViolation(
-                    f"split halves of type {parts} are not disjoint in degree {d}")
+        other_class = A.conjugacy_class(swap.conj(rep))
+        if not set(other_class).isdisjoint(alt_class):
+            raise TheoremViolation(
+                f"split halves of type {parts} are not disjoint in degree {d}")
+        for label, half in (("a", alt_class), ("b", other_class)):
+            quandle = ClassQuandle(*rack_from_conjugation_closed(half), d)
             out.append(
-                _class_record(half, parts, split=label,
+                _class_record(quandle, parts, split=label,
                               check_witness=d <= 6, cap=cap))
     return out

@@ -295,12 +295,6 @@ class CycleType:
                 return m
         return 0
 
-    def expanded(self) -> tuple:
-        """All lengths with repetition, increasing."""
-        return tuple(
-            l for l, m in self._parts for _ in range(m)
-        )
-
     def __eq__(self, other):
         if not isinstance(other, CycleType):
             return NotImplemented

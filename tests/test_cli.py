@@ -3,7 +3,15 @@ import json
 
 import pytest
 
-from quandlekit import emit_rtbl, is_isomorphic, parse_rack_file, trivial_quandle
+from quandlekit import (
+    Permutation,
+    PermutationGroup,
+    emit_rtbl,
+    is_isomorphic,
+    parse_rack_file,
+    symmetric_group,
+    trivial_quandle,
+)
 from quandlekit.cli import main
 from quandlekit.fixtures import fixture_text
 
@@ -65,6 +73,44 @@ def test_parse_error_exit_code(capsys, tmp_path):
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/file.rtbl")
     assert code == 64
+
+
+def assert_usage_exit(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_undecodable_file_exit_code(capsys, tmp_path, command):
+    path = tmp_path / "binary.rtbl"
+    path.write_bytes(b"rtbl 1\n\xff\n")
+    err = assert_usage_exit(capsys, command, str(path))
+    assert f"cannot read {path}" in err
+
+
+@pytest.mark.parametrize("content", [b"perm 3\n(1,2)\xff\n", None])
+def test_unreadable_homog_group_file_exit_code(capsys, tmp_path, content):
+    path = tmp_path / "group.perm"
+    if content is not None:
+        path.write_bytes(content)
+    err = assert_usage_exit(capsys, "construct",
+                            f"homog group={path} sub= alpha=conj:()")
+    assert f"cannot read {path}" in err
+
+
+def test_out_into_a_missing_directory_exit_code(capsys, tmp_path):
+    target = tmp_path / "absent" / "x"
+    err = assert_usage_exit(capsys, "--out", str(target), "scan", "--sym", "3")
+    assert f"cannot write {target}" in err
+
+
+def test_out_onto_a_directory_exit_code(capsys, tmp_path, fixture_path):
+    err = assert_usage_exit(capsys, "--out", str(tmp_path), "analyze",
+                            fixture_path)
+    assert f"cannot write {tmp_path}" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze"])
@@ -192,6 +238,20 @@ def test_construct_bad_spec(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("spec", ["conj d=0 type=", "affine orders= alpha=1"])
+def test_construct_rejects_degenerate_specs(capsys, spec):
+    assert_usage_exit(capsys, "construct", spec)
+
+
+def test_construct_homogeneous_with_the_trivial_subgroup(capsys, tmp_path):
+    group_file = tmp_path / "s3.perm"
+    group_file.write_text("perm 3\n(1,2)\n(1,2,3)\n")
+    code, out, _ = run(capsys, "construct",
+                       f"homog group={group_file} sub= alpha=conj:(1,2)")
+    assert code == 0
+    assert parse_rack_file(out).n == 6
+
+
 def test_construct_rejects_non_automorphism(capsys):
     code, _, err = run(capsys, "construct", "affine orders=4 alpha=2")
     assert code == 64
@@ -313,6 +373,7 @@ def assert_theorem_exit(capsys, *argv):
     assert out == ""
     assert "THEOREM FALSIFIED" in err
     assert "Traceback" not in err
+    return err
 
 
 @pytest.fixture()
@@ -369,6 +430,52 @@ def test_enumeration_promise(capsys, monkeypatch, argv):
     monkeypatch.setattr(constructors, "_search_connected_tables",
                         lambda *a, **k: [_swap_in_row_0(t) for t in search(*a, **k)])
     assert_theorem_exit(capsys, *argv)
+
+
+def test_enumeration_class_cap_exits_3(capsys, monkeypatch):
+    from quandlekit import constructors
+
+    # the search takes its rows from classes of S_n under the class cap
+    monkeypatch.setattr(constructors, "symmetric_group",
+                        lambda n: symmetric_group(n, cap=20))
+    code, out, err = run(capsys, "scan", "--enumerate", "5")
+    assert code == 3
+    assert out == ""
+    assert "conjugacy class exceeds cap 20" in err
+
+
+def test_alt_splitting_criterion_harness(capsys, monkeypatch):
+    from quandlekit import constructors
+
+    criterion = constructors._splits_in_alternating
+    monkeypatch.setattr(constructors, "_splits_in_alternating",
+                        lambda parts: not criterion(parts))
+    assert "splitting criterion" in assert_theorem_exit(capsys, "scan", "--alt", "5")
+
+
+def test_alt_halving_harness(capsys, monkeypatch):
+    from quandlekit import constructors
+
+    # in a cyclic group every class has one element: the 5-cycles "split"
+    # into classes of size 1, not 12
+    monkeypatch.setattr(
+        constructors, "alternating_group",
+        lambda d, cap: PermutationGroup(
+            d, [Permutation.from_cycles(d, [list(range(d))])], cap=cap))
+    assert "not halved" in assert_theorem_exit(capsys, "scan", "--alt", "5")
+
+
+def test_alt_disjoint_halves_harness(capsys, monkeypatch):
+    from quandlekit import constructors
+
+    class IdentitySwap:
+        @staticmethod
+        def from_cycles(degree, cycles):
+            return Permutation.identity(degree)
+
+    # conjugating by the identity gives the first half again
+    monkeypatch.setattr(constructors, "Permutation", IdentitySwap)
+    assert "not disjoint" in assert_theorem_exit(capsys, "scan", "--alt", "5")
 
 
 def test_quandle_enumeration_promise_excludes_racks(capsys, monkeypatch):

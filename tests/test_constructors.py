@@ -1,4 +1,5 @@
 """Class quandles, homogeneous and affine constructions, enumeration, scans."""
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from quandlekit import (
     symmetric_group,
     trivial_quandle,
 )
+from quandlekit import constructors
 from quandlekit.constructors import rack_from_conjugation_closed
 from quandlekit.racktable import validate
 
@@ -104,6 +106,59 @@ def test_abelian_group_with_trivial_subgroup_matches_affine():
     assert rack.table == affine.table
 
 
+def _listed_cosets_table(spec):
+    """The coset-space table as first built: each coset listed and sorted,
+    its least element the representative, the representatives sorted."""
+    G = spec.group
+    hset = PermutationGroup(G.degree, spec.subgroup_generators).element_set()
+    rep_of = {}
+    reps = []
+    for g in sorted(G.elements()):
+        if g in rep_of:
+            continue
+        coset = sorted(g * h for h in hset)
+        reps.append(coset[0])
+        for c in coset:
+            rep_of[c] = coset[0]
+    reps.sort()
+    index = {r: i for i, r in enumerate(reps)}
+    return tuple(
+        tuple(index[rep_of[x * spec.alpha[x.inverse() * y]]] for y in reps)
+        for x in reps)
+
+
+SYM3 = [((1, 2),), ((1, 2, 3),)]
+SYM4 = [((1, 2),), ((1, 2, 3, 4),)]
+SYM5 = [((1, 2),), ((1, 2, 3, 4, 5),)]
+# A Frobenius group of order 20 in S5.  In a symmetric group, left
+# multiplication by the point reversal turns the sorted cosets around and is
+# an automorphism of the coset quandle, so taking the greatest element of
+# each coset instead of the least would give the same table there; here it
+# does not.
+FROBENIUS20 = [((1, 5, 3, 4, 2),), ((1, 2, 5, 3),)]
+
+
+@pytest.mark.parametrize("degree,generators,conjugator", [
+    (3, SYM3, ()), (3, SYM3, ((1, 2),)), (3, SYM3, ((1, 2, 3),)),
+    (4, SYM4, ((1, 2),)), (4, SYM4, ((1, 2), (3, 4))), (4, SYM4, ((1, 2, 3, 4),)),
+    (5, SYM5, ((1, 2, 3),)), (5, SYM5, ((1, 2), (3, 4))),
+    (5, SYM5, ((1, 2, 3, 4, 5),)),
+    (5, FROBENIUS20, ((1, 2, 5, 3),)), (5, FROBENIUS20, ((1, 3), (2, 4))),
+])
+def test_homogeneous_table_matches_the_listed_cosets(degree, generators,
+                                                     conjugator):
+    G = PermutationGroup(degree, [cyc(degree, *g) for g in generators])
+    c = cyc(degree, *conjugator)
+    alpha = {g: c.conj(g) for g in G.elements()}
+    centralizer = [g for g in G.elements() if g * c == c * g]
+    rng = random.Random(degree * 100 + len(centralizer))
+    subgroups = [[], [c]] + [rng.sample(centralizer, k)
+                             for k in (1, 1, 2, 2) if k <= len(centralizer)]
+    for subgens in subgroups:
+        spec = make_homogeneous_spec(G, subgens, alpha)
+        assert homogeneous_quandle(spec).table == _listed_cosets_table(spec), subgens
+
+
 def test_alpha_must_fix_subgroup_pointwise():
     G = symmetric_group(3)
     r = cyc(3, (1, 2, 3))
@@ -150,6 +205,11 @@ def test_affine_rejects_non_automorphism():
         make_affine_spec([4], 2)           # doubling is not injective mod 4
     with pytest.raises(ValueError):
         make_affine_spec([3], [0, 0, 1])   # not a bijection
+
+
+def test_affine_needs_an_order():
+    with pytest.raises(ValueError):
+        make_affine_spec([], 1)
 
 
 def test_dihedral_is_affine_negation():
@@ -225,6 +285,43 @@ def test_enumeration_is_deterministic():
 def test_enumeration_bound():
     with pytest.raises(BoundExceeded):
         enumerate_connected_quandles(9)
+
+
+def _listed_search_tables(n, quandle_only):
+    """The row search as first built: every permutation of degree n listed
+    and grouped by cycle type, each group a pool of candidate rows."""
+    if n == 1:
+        return [((0,),)]
+    by_type = {}
+    for images in itertools.permutations(range(n)):
+        p = Permutation(images)
+        by_type.setdefault(p.cycle_type(), []).append(p)
+
+    def cycle_len_at(p, point):
+        return next(len(c) for c in p.cycles() if point in c)
+
+    tables = []
+    for ctype in sorted(by_type):
+        if quandle_only and ctype.multiplicity(1) == 0:
+            continue
+        pool = by_type[ctype]
+        for own_len in ((1,) if quandle_only else ctype.lengths):
+            cands = [[p for p in pool if cycle_len_at(p, i) == own_len]
+                     for i in range(n)]
+            if not cands[0]:
+                continue
+            rows = [None] * n
+            rows[0] = min(cands[0])
+            tables.extend(constructors._complete_rows(n, rows, cands))
+    return tables
+
+
+@pytest.mark.parametrize("n,quandle_only",
+                         [(n, True) for n in range(1, 8)]
+                         + [(n, False) for n in range(1, 7)])
+def test_search_matches_the_listed_permutations(n, quandle_only):
+    found = constructors._search_connected_tables(n, quandle_only)
+    assert sorted(found) == sorted(_listed_search_tables(n, quandle_only))
 
 
 def test_rack_enumeration_includes_non_quandles():
