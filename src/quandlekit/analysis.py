@@ -88,6 +88,13 @@ def inner_group(X: RackTable, cap: int = DEFAULT_CAP) -> PermutationGroup:
     return PermutationGroup(X.n, X.distinct_translations(), cap=cap)
 
 
+def _inner_action(X: RackTable) -> PermutationGroup:
+    """The inner group generated by the translations of the table's
+    ▷-generating set only: the same group as :func:`inner_group`, with
+    fewer generators for the block routines to act through."""
+    return PermutationGroup(X.n, [X.phi(s) for s in X.generating_set()])
+
+
 def is_connected(X: RackTable) -> bool:
     """The inner group acts transitively on the points."""
     X._require_rack()
@@ -150,8 +157,8 @@ def lambda_part(X: RackTable, k: int) -> Counter:
     if k not in p.lengths:
         raise ValueError(f"length {k} does not occur in profile {p}")
     counts: Counter = Counter()
-    for t in X.distinct_translations():
-        counts.update(t.k_part(k))
+    for cycles in X.translation_cycles().values():
+        counts.update(p for c in cycles if len(c) == k for p in c)
     return counts
 
 
@@ -187,12 +194,12 @@ def orbit_divisibility(X: RackTable, x: int, y: int) -> OrbitSizes:
 def inner_action_primitivity(X: RackTable) -> PrimitivityReport:
     """Primitivity of the inner action of a connected rack; when imprimitive
     the witness is the block system generated by a minimal nontrivial block.
-    The block search never lists group elements, so no cap applies.
+    The block search acts through the translations of the ▷-generating set
+    and never lists group elements, so no cap applies.
     """
     if not is_connected(X):
         raise NotConnected("primitivity concerns connected racks")
-    G = inner_group(X)
-    witness = G.block_system_witness()
+    witness = _inner_action(X).block_system_witness()
     if witness is None:
         return PrimitivityReport(True, None)
     return PrimitivityReport(False, tuple(witness))
@@ -245,10 +252,12 @@ def k_tilde_block_diagnostic(X: RackTable) -> list:
     of the translations form a partition and, if so, a block system of the
     inner action.  No general theorem backs this; outcomes are recorded."""
     p = profile(X)
-    G = inner_group(X)
+    G = _inner_action(X)
+    translation_cycles = X.translation_cycles().values()
     out = []
     for k in p.lengths:
-        cells = sorted({t.k_tilde_part(k) for t in X.distinct_translations()},
+        cells = sorted({frozenset(q for c in cycles if k % len(c) == 0 for q in c)
+                        for cycles in translation_cycles},
                        key=min)
         flat = sorted(q for c in cells for q in c)
         is_partition = flat == list(range(X.n))

@@ -316,10 +316,12 @@ def _cmd_scan(args) -> int:
     else:
         n = args.enumerate_n
         if args.racks:
-            racks = constructors.enumerate_connected_racks(n, **bound)
+            racks = constructors.enumerate_connected_racks(
+                n, cap=args.cap, **bound)
             title = f"connected racks with {n} elements"
         else:
-            racks = constructors.enumerate_connected_quandles(n, **bound)
+            racks = constructors.enumerate_connected_quandles(
+                n, cap=args.cap, **bound)
             title = f"connected quandles with {n} elements"
         rows = []
         for i, rack in enumerate(racks, start=1):

@@ -274,7 +274,8 @@ def affine_quandle(spec: AffineSpec) -> AffineResult:
 # -- enumeration -------------------------------------------------------------------
 
 
-def _search_connected_tables(n: int, quandle_only: bool) -> list:
+def _search_connected_tables(n: int, quandle_only: bool,
+                             cap: int = DEFAULT_CAP) -> list:
     """Backtracking over row tuples with conjugation-closure propagation.
 
     Soundness of the restrictions, given that only connected results are
@@ -282,22 +283,27 @@ def _search_connected_tables(n: int, quandle_only: bool) -> list:
     candidate rows are one conjugacy class of the symmetric group; the cycle
     length of x within its own row is constant across x, and a relabeling
     can always move the lexicographically least permutation realizing those
-    invariants into row 0.
+    invariants into row 0.  Each class is built under ``cap``.
     """
-    sym = symmetric_group(n)
+    sym = symmetric_group(n, cap=cap)
     tables = []
 
-    def cycle_len_at(p: Permutation, point: int) -> int:
-        return next(len(c) for c in p.cycles() if point in c)
+    def cycle_len_map(p: Permutation) -> list:
+        lens = [0] * n
+        for c in p.cycles():
+            for q in c:
+                lens[q] = len(c)
+        return lens
 
     for parts in all_partitions(n):
         if quandle_only and 1 not in parts:
             continue
         pool = sym.conjugacy_class(canonical_of_cycle_type(n, parts))
+        pool_lens = [cycle_len_map(p) for p in pool]
         for own_len in ((1,) if quandle_only else sorted(set(parts))):
             # candidate rows per point: own point on a cycle of length own_len
             cands = [
-                [p for p in pool if cycle_len_at(p, i) == own_len]
+                [p for p, lens in zip(pool, pool_lens) if lens[i] == own_len]
                 for i in range(n)
             ]
             rows: list = [None] * n
@@ -380,30 +386,32 @@ def _dedup_tables(racks: list) -> list:
     return kept
 
 
-def enumerate_connected_quandles(n: int,
-                                 bound: int = ENUMERATION_BOUND) -> list:
+def enumerate_connected_quandles(n: int, bound: int = ENUMERATION_BOUND,
+                                 cap: int = DEFAULT_CAP) -> list:
     """All connected quandles with n elements, up to isomorphism, in a
-    deterministic order (fingerprint, then table)."""
+    deterministic order (fingerprint, then table).  A conjugacy class of
+    the search larger than ``cap`` raises :class:`CapExceeded`."""
     if n > bound:
         raise BoundExceeded(f"enumeration bound is {bound}, requested {n}")
-    return _enumerate(n, quandle_only=True)
+    return _enumerate(n, quandle_only=True, cap=cap)
 
 
-def enumerate_connected_racks(n: int, bound: int = 6) -> list:
+def enumerate_connected_racks(n: int, bound: int = 6,
+                              cap: int = DEFAULT_CAP) -> list:
     """All connected racks (quandles included) with n elements, up to
     isomorphism.  The search space is larger than the quandle case, hence
-    the smaller default bound."""
+    the smaller default bound; ``cap`` is as for the quandles."""
     if n > bound:
         raise BoundExceeded(f"rack enumeration bound is {bound}, requested {n}")
-    return _enumerate(n, quandle_only=False)
+    return _enumerate(n, quandle_only=False, cap=cap)
 
 
-def _enumerate(n: int, quandle_only: bool) -> list:
+def _enumerate(n: int, quandle_only: bool, cap: int) -> list:
     if n < 1:
         raise ValueError("order must be positive")
     promise = "quandle" if quandle_only else "rack"
     racks = [_as_promised(t, promise, f"{promise} enumeration")
-             for t in _search_connected_tables(n, quandle_only)
+             for t in _search_connected_tables(n, quandle_only, cap)
              if _connected_table(t)]
     return _dedup_tables(racks)
 

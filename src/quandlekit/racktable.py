@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import _kernels
 from .errors import DegreeMismatch, NotARack, ParseError
-from .perm import Permutation, _unchecked, orbit_partition
+from .perm import CycleType, Permutation, _unchecked, orbit_partition
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,8 @@ def validate(table: Sequence[Sequence[int]]) -> AxiomDiagnosis:
 class RackTable:
     """An immutable operation table together with its validation verdict."""
 
-    __slots__ = ("n", "table", "diagnosis", "_rows", "_orbits", "_cycle_types")
+    __slots__ = ("n", "table", "diagnosis", "_rows", "_orbits", "_cycles",
+                 "_cycle_types", "_generators")
 
     def __init__(self, table: Sequence[Sequence[int]],
                  diagnosis: Optional[AxiomDiagnosis] = None):
@@ -105,7 +106,9 @@ class RackTable:
         self.diagnosis = diagnosis if diagnosis is not None else validate(self.table)
         self._rows = None
         self._orbits = None
+        self._cycles = None
         self._cycle_types = None
+        self._generators = None
 
     # -- constructors -----------------------------------------------------
 
@@ -165,12 +168,56 @@ class RackTable:
         self._require_rack()
         return tuple(dict.fromkeys(self._phi_rows()))
 
+    def translation_cycles(self) -> dict:
+        """Disjoint cycles (tuples, as in ``Permutation.cycles``) of each
+        distinct translation, keyed by translation in first-occurrence
+        order; decomposed once per table."""
+        if self._cycles is None:
+            self._cycles = {t: tuple(map(tuple, t.cycles()))
+                            for t in self.distinct_translations()}
+        return self._cycles
+
     def cycle_types(self) -> tuple:
         """Cycle type of every left translation, indexed by acting element;
         derived once per table."""
         if self._cycle_types is None:
-            self._cycle_types = tuple(p.cycle_type() for p in self.translations())
+            types = {t: CycleType.from_lengths(map(len, cycles))
+                     for t, cycles in self.translation_cycles().items()}
+            self._cycle_types = tuple(types[p] for p in self.translations())
         return self._cycle_types
+
+    def generating_set(self) -> tuple:
+        """Points generating the table under ▷, chosen greedily: scanning
+        in increasing order, a point is kept when it lies outside the
+        ▷-closure of the points kept before it.  Since
+        φ_{x▷y} = φ_x φ_y φ_x⁻¹, the translations of the kept points
+        generate the inner group.  O(n²) table lookups, once per table."""
+        self._require_rack()
+        if self._generators is None:
+            table = self.table
+            inside = [False] * self.n
+            members = []  # the closure so far, in order of arrival
+            done = 0      # members[:done] have met every earlier member
+            kept = []
+            for p in range(self.n):
+                if inside[p]:
+                    continue
+                kept.append(p)
+                inside[p] = True
+                members.append(p)
+                # a finite rack's closure under ▷ is closed under its
+                # inverse too, as each translation has finite order
+                while done < len(members):
+                    q = members[done]
+                    done += 1
+                    row = table[q]
+                    for a in members[:done]:
+                        for r in (row[a], table[a][q]):
+                            if not inside[r]:
+                                inside[r] = True
+                                members.append(r)
+            self._generators = tuple(kept)
+        return self._generators
 
     def inner_orbit_partition(self) -> list:
         """Orbits of the point set under all rows (frozensets, by least point)."""

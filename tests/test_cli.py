@@ -437,11 +437,25 @@ def test_enumeration_class_cap_exits_3(capsys, monkeypatch):
 
     # the search takes its rows from classes of S_n under the class cap
     monkeypatch.setattr(constructors, "symmetric_group",
-                        lambda n: symmetric_group(n, cap=20))
+                        lambda n, cap: symmetric_group(n, cap=20))
     code, out, err = run(capsys, "scan", "--enumerate", "5")
     assert code == 3
     assert out == ""
     assert "conjugacy class exceeds cap 20" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--racks"]])
+def test_cap_reaches_enumeration(capsys, extra):
+    # the largest class the order-5 searches build, type 4,1, has 30 elements
+    argv = ["scan", "--enumerate", "5", *extra]
+    code, default_out, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, "--cap", "30", *argv) == (0, default_out, "")
+    code, out, err = run(capsys, "--cap", "29", *argv)
+    assert code == 3
+    assert out == ""
+    assert "conjugacy class exceeds cap 29" in err
+    assert "Traceback" not in err
 
 
 def test_alt_splitting_criterion_harness(capsys, monkeypatch):
