@@ -61,6 +61,13 @@ def workloads():
     yield (f"distributivity scan: {cls6.rack.n}^3 triples",
            "a1_violations", (rows6,))
 
+    # above 256 points the pure scan composes rows with itemgetter, not bytes
+    cls7 = conjugacy_class_quandle(
+        symmetric_group(7), Permutation.from_cycles(7, [[0, 1, 2], [3, 4, 5]]))
+    rows7 = [p.images for p in cls7.rack.translations()]
+    yield (f"distributivity scan: {cls7.rack.n}^3 triples",
+           "a1_violations", (rows7,))
+
     labels = [p.images for p in cls6.labels]
     yield (f"conjugation table: {len(labels)} x {len(labels)} class products",
            "conjugation_table", (labels, 6))

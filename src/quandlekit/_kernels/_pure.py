@@ -5,6 +5,7 @@ The compiled backend in ``_speedups.pyx`` mirrors these functions exactly
 Permutations are image tuples over 0-based points.
 """
 
+from itertools import repeat
 from operator import itemgetter
 
 BACKEND = "pure"
@@ -49,6 +50,39 @@ def a1_violations(rows, limit=-1):
     Scans in lexicographic (x, y, z) order; a negative ``limit`` collects all
     violations.
     """
+    n = len(rows)
+    if n > 256:
+        # bytes.translate maps single bytes only
+        return _a1_violations_getters(rows, limit)
+    # tabs[x] is row x padded to a 256-byte translation table, so
+    # b[y].translate(tabs[x]) is the row z -> x▷(y▷z) and
+    # b[x].translate(tabs[x▷y]) the row z -> (x▷y)▷(x▷z), each built in one
+    # C call.  One list comparison settles x; y and z are walked only where
+    # the rows differ, so witnesses keep their order and ``limit`` its
+    # meaning.
+    b = [bytes(r) for r in rows]
+    pad = bytes(256 - n)
+    tabs = [r + pad for r in b]
+    rng = range(n)
+    out = []
+    for x in rng:
+        left = list(map(bytes.translate, b, repeat(tabs[x])))
+        right = list(map(b[x].translate, map(tabs.__getitem__, rows[x])))
+        if left != right:
+            for y in rng:
+                ly, ry = left[y], right[y]
+                if ly != ry:
+                    for z in rng:
+                        if ly[z] != ry[z]:
+                            out.append((x, y, z))
+                            if 0 <= limit <= len(out):
+                                return out
+    return out
+
+
+def _a1_violations_getters(rows, limit=-1):
+    """:func:`a1_violations` for tables of any size, with rows composed by
+    ``itemgetter``."""
     # getters[y](r) == (r[rows[y][0]], ..., r[rows[y][n-1]]): for each pair
     # (x, y) both sides of the identity are built as whole rows in one C
     # call each, and z is walked only where the rows differ.  With n == 1

@@ -75,7 +75,8 @@ class PrimitivityReport:
 class KTildeDiagnostic:
     """Outcome of the block-system probe for one profile length: do the
     distinct k-tilde parts of the translations partition the points, and if
-    so does the partition pass the block test?  Reported, never asserted."""
+    so does the partition pass the block test?  A partition always does
+    (see :func:`k_tilde_block_diagnostic`)."""
     k: int
     cells: tuple
     is_partition: bool
@@ -250,7 +251,14 @@ def conjugation_rack_quotient_check(perms: Sequence[Permutation],
 def k_tilde_block_diagnostic(X: RackTable) -> list:
     """Probe, for each profile length k, whether the distinct k-tilde parts
     of the translations form a partition and, if so, a block system of the
-    inner action.  No general theorem backs this; outcomes are recorded."""
+    inner action.
+
+    Whether they partition the points is recorded.  A partition is always a
+    block system: every σ in the inner group is a table automorphism, so
+    σφ_xσ⁻¹ = φ_{σ(x)}, and σ maps the k-tilde part of φ_x onto that of
+    φ_{σ(x)}; the inner group permutes the parts.  A failed block test
+    raises :class:`TheoremViolation`.
+    """
     p = profile(X)
     G = _inner_action(X)
     translation_cycles = X.translation_cycles().values()
@@ -262,5 +270,9 @@ def k_tilde_block_diagnostic(X: RackTable) -> list:
         flat = sorted(q for c in cells for q in c)
         is_partition = flat == list(range(X.n))
         blocks = G.is_block(cells) if is_partition else None
+        if blocks is False:
+            raise TheoremViolation(
+                f"k-tilde parts of length {k} partition the points but are "
+                "not a block system of the inner action")
         out.append(KTildeDiagnostic(k, tuple(cells), is_partition, blocks))
     return out

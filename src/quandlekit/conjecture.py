@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotConnected, TheoremViolation
-from .perm import DEFAULT_CAP, Permutation
+from .perm import DEFAULT_CAP, Permutation, PermutationGroup
 from .racktable import RackTable
 from . import analysis
 from . import constructors
@@ -76,7 +76,13 @@ def intersection_evidence(X: RackTable, x: int,
     membership tests (F has at most profile-largest many elements)."""
     if not analysis.is_connected(X):
         raise NotConnected("intersection evidence concerns connected racks")
-    G = analysis.inner_group(X, cap=cap)
+    return _intersection_evidence(X, analysis.inner_group(X, cap=cap), x)
+
+
+def _intersection_evidence(X: RackTable, G: PermutationGroup,
+                           x: int) -> IntersectionEvidence:
+    """:func:`intersection_evidence` at base point ``x``, given the inner
+    group ``G`` of the connected rack ``X``."""
     px = X.phi(x)
     H = G.centralizer(px).element_set()
     F = [Permutation.identity(X.n)]
@@ -115,8 +121,9 @@ def divisibility_crosscheck(X: RackTable,
     faithful = analysis.is_faithful(X)
     forward_ok = True
     converse_ok = True if faithful else None
+    G = analysis.inner_group(X, cap=cap)
     for x in range(X.n):
-        ev = intersection_evidence(X, x, cap=cap)
+        ev = _intersection_evidence(X, G, x)
         if ev.trivial_witness is not None and not verdict.holds:
             forward_ok = False
         if faithful and verdict.holds and ev.trivial_witness is None:

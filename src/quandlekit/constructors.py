@@ -284,24 +284,32 @@ def _search_connected_tables(n: int, quandle_only: bool,
     length of x within its own row is constant across x, and a relabeling
     can always move the lexicographically least permutation realizing those
     invariants into row 0.  Each class is built under ``cap``.
+
+    A row is a candidate for x only when x is the least point of its own
+    cycle: since φ_{x▷x} = φ_x, every point of that cycle has row φ_x, and
+    the search branches on points in increasing order, so a lesser point of
+    the cycle already holds a row other than φ_x (had it held φ_x,
+    propagation would already have set row x) and the branch would die.
     """
     sym = symmetric_group(n, cap=cap)
     tables = []
 
-    def cycle_len_map(p: Permutation) -> list:
+    def least_cycle_len_map(p: Permutation) -> list:
+        """Cycle length at the least point of each cycle (``cycles()``
+        starts each cycle there), 0 elsewhere."""
         lens = [0] * n
         for c in p.cycles():
-            for q in c:
-                lens[q] = len(c)
+            lens[c[0]] = len(c)
         return lens
 
     for parts in all_partitions(n):
         if quandle_only and 1 not in parts:
             continue
         pool = sym.conjugacy_class(canonical_of_cycle_type(n, parts))
-        pool_lens = [cycle_len_map(p) for p in pool]
+        pool_lens = [least_cycle_len_map(p) for p in pool]
         for own_len in ((1,) if quandle_only else sorted(set(parts))):
-            # candidate rows per point: own point on a cycle of length own_len
+            # candidate rows per point: own point least on a cycle of
+            # length own_len
             cands = [
                 [p for p, lens in zip(pool, pool_lens) if lens[i] == own_len]
                 for i in range(n)

@@ -8,6 +8,8 @@ from quandlekit import (
     BoundExceeded,
     NotConnected,
     Permutation,
+    PermutationGroup,
+    TheoremViolation,
     automorphism_group,
     center_check,
     conjugacy_class_quandle,
@@ -353,6 +355,14 @@ def test_golden_k_tilde_diagnostics(golden):
         frozenset({2, 6, 10}),
         frozenset({3, 7, 11}),
     }
+
+
+def test_k_tilde_partition_failing_the_block_test_raises(golden, monkeypatch):
+    # the inner group permutes the k-tilde parts, so a partition that fails
+    # the block test can only be a bug
+    monkeypatch.setattr(PermutationGroup, "is_block", lambda self, cells: False)
+    with pytest.raises(TheoremViolation, match="not a block system"):
+        k_tilde_block_diagnostic(golden)
 
 
 def test_fingerprint_stability_under_analysis(golden):

@@ -393,6 +393,13 @@ def test_primitive_harness_wiring_in_analyze(capsys, tmp_path, failing_verdicts)
     assert_theorem_exit(capsys, "analyze", str(path))
 
 
+def test_k_tilde_block_harness_wiring_in_analyze(capsys, fixture_path,
+                                                monkeypatch):
+    monkeypatch.setattr(PermutationGroup, "is_block", lambda self, cells: False)
+    err = assert_theorem_exit(capsys, "analyze", fixture_path)
+    assert "not a block system" in err
+
+
 def test_primitive_harness_wiring_in_enumerate(capsys, failing_verdicts):
     assert_theorem_exit(capsys, "scan", "--enumerate", "5")
 

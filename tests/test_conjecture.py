@@ -11,6 +11,7 @@ from quandlekit import (
     enumerate_connected_quandles,
     full_report,
     hayashi_check,
+    inner_group,
     intersection_evidence,
     is_faithful,
     primitive_divisibility_check,
@@ -103,6 +104,25 @@ def test_crosscheck_over_catalog(catalog):
             assert result.converse_ok, name
         else:
             assert result.converse_ok is None, name
+
+
+def test_crosscheck_closes_the_inner_group_once(golden, monkeypatch):
+    from quandlekit import analysis, conjecture
+
+    groups = []
+
+    def counting_inner_group(X, cap):
+        groups.append(inner_group(X, cap=cap))
+        return groups[-1]
+
+    monkeypatch.setattr(analysis, "inner_group", counting_inner_group)
+    result = divisibility_crosscheck(golden)
+    assert (result.forward_ok, result.converse_ok) == (True, True)
+    assert len(groups) == 1
+    monkeypatch.undo()
+    for x in range(golden.n):
+        assert (conjecture._intersection_evidence(golden, groups[0], x)
+                == intersection_evidence(golden, x))
 
 
 def test_largest_length_is_translation_order_when_divisibility_holds(catalog):

@@ -175,6 +175,45 @@ def test_a1_matches_naive_scan_on_racks_with_two_entries_swapped(limit):
             assert _pure.a1_violations(bad, limit) == expected
 
 
+@given(square_tables())
+@example([(0, 0, 0), (0, 0, 2), (0, 0, 1)])
+@example([])
+def test_byte_rows_match_the_getter_scan_on_random_tables(rows):
+    assert _pure.a1_violations(rows) == _pure._a1_violations_getters(rows)
+
+
+def affine_rows(n):
+    """The affine quandle x▷y = 3y - 2x over Z_n."""
+    return [tuple((3 * y - 2 * x) % n for y in range(n)) for x in range(n)]
+
+
+# rows of up to 256 points are composed as bytes, larger ones by itemgetter
+@pytest.mark.parametrize("n", [256, 257])
+def test_a1_on_both_sides_of_the_byte_row_cut(n):
+    rows = affine_rows(n)
+    assert _pure.a1_violations(rows) == []
+    rng = random.Random(n)
+    for _ in range(3):
+        bad = _swapped(rows, rng)
+        for limit in (1, 2, 5):
+            expected = naive_a1(bad, limit)
+            assert len(expected) == limit
+            assert _pure.a1_violations(bad, limit) == expected
+
+
+def test_byte_rows_match_the_getter_scan_at_256_points():
+    rows = affine_rows(256)
+    bad = _swapped(rows, random.Random(0))
+    witnesses = _pure.a1_violations(bad)
+    assert witnesses
+    assert witnesses == _pure._a1_violations_getters(bad)
+    # a row that is not a bijection: row 9 sends 0 where it sends 1
+    rows[9] = (rows[9][1],) + rows[9][1:]
+    witnesses = _pure.a1_violations(rows)
+    assert witnesses
+    assert witnesses == _pure._a1_violations_getters(rows)
+
+
 # -- the conjugation table ----------------------------------------------------------
 
 
