@@ -13,8 +13,7 @@ since it can only mean an implementation bug.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     BoundExceeded,
@@ -27,8 +26,7 @@ from .racktable import RackTable, _isomorphism_search
 AUT_SEARCH_BOUND = 16
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """The common translation cycle type of a connected rack."""
     cycle_type: CycleType
 
@@ -44,8 +42,7 @@ class Profile:
         return str(self.cycle_type)
 
 
-@dataclass(frozen=True)
-class FiberPartition:
+class FiberPartition(NamedTuple):
     """Point classes with identical translation rows; ``f`` is the common
     fiber size when the sizes are uniform, else None."""
     fibers: tuple
@@ -56,8 +53,7 @@ class FiberPartition:
         return self.f is not None
 
 
-@dataclass(frozen=True)
-class OrbitSizes:
+class OrbitSizes(NamedTuple):
     """Orbit of y under powers of the translation by x (``lam``) and orbit
     of the translation by y under conjugation by those powers (``lam_bar``).
     The second always divides the first."""
@@ -65,14 +61,12 @@ class OrbitSizes:
     lam_bar: int
 
 
-@dataclass(frozen=True)
-class PrimitivityReport:
+class PrimitivityReport(NamedTuple):
     primitive: bool
     witness_blocks: Optional[tuple]  # cells of a minimal nontrivial system
 
 
-@dataclass(frozen=True)
-class KTildeDiagnostic:
+class KTildeDiagnostic(NamedTuple):
     """Outcome of the block-system probe for one profile length: do the
     distinct k-tilde parts of the translations partition the points, and if
     so does the partition pass the block test?  A partition always does

@@ -173,6 +173,8 @@ def _parse_kv(spec: str):
         if "=" not in tok:
             raise ParseError(f"expected key=value, got {tok!r}")
         k, v = tok.split("=", 1)
+        if k in pairs:
+            raise ParseError(f"{kind} spec repeats the key {k}")
         pairs[k] = v
     return kind, pairs
 

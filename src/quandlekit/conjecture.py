@@ -19,8 +19,7 @@ CLI exit codes derive from these outcomes:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NotConnected, TheoremViolation
 from .perm import DEFAULT_CAP, Permutation, PermutationGroup
@@ -30,8 +29,7 @@ from . import constructors
 from .analysis import Profile
 
 
-@dataclass(frozen=True)
-class HayashiVerdict:
+class HayashiVerdict(NamedTuple):
     """Divisibility outcome for one profile: ``violations`` lists the
     (length, largest) pairs where the length does not divide the largest."""
     holds: bool
@@ -55,8 +53,7 @@ def hayashi_check(p) -> HayashiVerdict:
     return HayashiVerdict(not violations, violations)
 
 
-@dataclass(frozen=True)
-class IntersectionEvidence:
+class IntersectionEvidence(NamedTuple):
     """For a fixed base point x: the order of the cyclic group F generated
     by the translation of x, and for every point y the order of the
     intersection of F with the conjugate by the translation of y of the
@@ -105,8 +102,7 @@ def _intersection_evidence(X: RackTable, G: PermutationGroup,
     return IntersectionEvidence(x, len(F), tuple(witnesses), trivial)
 
 
-@dataclass(frozen=True)
-class CrosscheckResult:
+class CrosscheckResult(NamedTuple):
     """The two implications, evaluated literally over every base point:
     ``forward_ok`` -- a trivial witness forces the divisibility verdict;
     ``converse_ok`` -- on faithful racks the verdict forces a witness
@@ -131,8 +127,7 @@ def divisibility_crosscheck(X: RackTable,
     return CrosscheckResult(forward_ok, converse_ok)
 
 
-@dataclass(frozen=True)
-class PrimitiveCheckResult:
+class PrimitiveCheckResult(NamedTuple):
     primitive: bool
     hayashi: Optional[HayashiVerdict]  # None when the hypothesis is not met
     witness_blocks: Optional[tuple] = None  # cells, when imprimitive
@@ -187,8 +182,7 @@ def _class_case(records: list, group: str, d: int) -> list:
 # -- aggregated report -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LambdaPartCheck:
+class LambdaPartCheck(NamedTuple):
     """Occurrence counts in the length-k translation-part multiset: uniform
     iff every point occurs ``expected`` times."""
     k: int
@@ -196,8 +190,7 @@ class LambdaPartCheck:
     uniform: bool
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Aggregated verdicts for one rack, with stable field order; analyses
     whose prerequisites fail are recorded in ``skipped``."""
     n: int

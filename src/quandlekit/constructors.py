@@ -8,8 +8,8 @@ table is reproducible bit-exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import (Callable, Dict, Iterable, Mapping, NamedTuple, Optional,
+                    Sequence, Union)
 
 from . import _kernels
 from .errors import BoundExceeded, TheoremViolation
@@ -62,8 +62,7 @@ def _as_promised(table, promise: str, construction: str) -> RackTable:
 # -- conjugation racks -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassQuandle:
+class ClassQuandle(NamedTuple):
     """A conjugacy-class quandle with its labeling back into the ambient
     symmetric group (labels[x] is the permutation at table point x)."""
     rack: RackTable
@@ -95,8 +94,7 @@ def conjugacy_class_quandle(G: PermutationGroup, g: Permutation) -> ClassQuandle
 # -- homogeneous quandles ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomogeneousSpec:
+class HomogeneousSpec(NamedTuple):
     """Data for a coset-space quandle: a finite permutation group, subgroup
     generators, and an automorphism fixing the subgroup pointwise."""
     group: PermutationGroup
@@ -183,8 +181,7 @@ def regular_abelian_group(orders: Sequence[int]):
 # -- affine quandles --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineSpec:
+class AffineSpec(NamedTuple):
     """An abelian group (product of cyclic groups, row-major tuple order)
     together with an automorphism given as an explicit element map."""
     orders: tuple
@@ -198,8 +195,7 @@ class AffineSpec:
         return out
 
 
-@dataclass(frozen=True)
-class AffineResult:
+class AffineResult(NamedTuple):
     rack: RackTable
     beta_bijective: bool
 
@@ -427,8 +423,7 @@ def _enumerate(n: int, quandle_only: bool, cap: int) -> list:
 # -- class scans -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassScanRecord:
+class ClassScanRecord(NamedTuple):
     """Verdicts for one conjugacy class analyzed as a quandle."""
     parts: tuple              # cycle type of the class, decreasing
     class_size: int

@@ -22,16 +22,14 @@ Both formats round-trip bit-exactly through their writers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import _kernels
 from .errors import DegreeMismatch, NotARack, ParseError
 from .perm import CycleType, Permutation, _unchecked, orbit_partition
 
 
-@dataclass(frozen=True)
-class AxiomWitness:
+class AxiomWitness(NamedTuple):
     """One failed axiom instance: the axiom name and the violating tuple
     (``(x, y, z)`` for A1, ``(x,)`` for A2/A3; 0-based)."""
     axiom: str
@@ -42,8 +40,7 @@ class AxiomWitness:
         return f"{self.axiom} fails at ({pts})"
 
 
-@dataclass(frozen=True)
-class AxiomDiagnosis:
+class AxiomDiagnosis(NamedTuple):
     """Validation verdict plus all collected witnesses."""
     verdict: str  # "quandle" | "rack" | "not-a-rack"
     witnesses: tuple
@@ -252,8 +249,7 @@ class RackTable:
 # -- isomorphism ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(NamedTuple):
     """Result of an isomorphism search; ``bijection`` maps X-points to
     Y-points and satisfies f(x ▷ y) = f(x) ▷' f(y) when found."""
     found: bool

@@ -243,6 +243,18 @@ def test_construct_rejects_degenerate_specs(capsys, spec):
     assert_usage_exit(capsys, "construct", spec)
 
 
+@pytest.mark.parametrize("spec,key", [
+    ("conj d=3 type=2,1 type=3", "type"),
+    ("affine orders=7 alpha=3 orders=5", "orders"),
+    ("homog group={group} sub= alpha=conj:(1,2) sub=", "sub"),
+])
+def test_construct_rejects_a_repeated_key(capsys, tmp_path, spec, key):
+    group_file = tmp_path / "s3.perm"
+    group_file.write_text("perm 3\n(1,2)\n(1,2,3)\n")
+    err = assert_usage_exit(capsys, "construct", spec.format(group=group_file))
+    assert f"repeats the key {key}" in err
+
+
 def test_construct_homogeneous_with_the_trivial_subgroup(capsys, tmp_path):
     group_file = tmp_path / "s3.perm"
     group_file.write_text("perm 3\n(1,2)\n(1,2,3)\n")
