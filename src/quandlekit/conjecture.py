@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .errors import NotConnected, TheoremViolation
-from .perm import DEFAULT_CAP, Permutation, PermutationGroup
+from .perm import DEFAULT_CAP
 from .racktable import RackTable
 from . import analysis
 from . import constructors
@@ -54,12 +54,13 @@ def hayashi_check(p) -> HayashiVerdict:
 
 
 class IntersectionEvidence(NamedTuple):
-    """For a fixed base point x: the order of the cyclic group F generated
-    by the translation of x, and for every point y the order of the
-    intersection of F with the conjugate by the translation of y of the
-    centralizer of F in the inner group.  A ``trivial_witness`` is a y whose
-    intersection is just the identity; its existence forces the divisibility
-    verdict (and is forced by it on faithful racks)."""
+    """For a fixed base point x: the order of F = ⟨φ_x⟩ and, for every
+    point y, the order of F ∩ φ_y H φ_y⁻¹, H the centralizer of F in the
+    inner group.  As φ_y⁻¹ φ_x^k φ_y lies in H iff φ_x^k commutes with
+    φ_y φ_x φ_y⁻¹ = φ_z, z = y ▷ x, iff row φ_x^k(z) equals row z, that
+    order is |F| / m for the least such m > 0.  A ``trivial_witness`` is a
+    y whose intersection is just the identity; its existence forces the
+    divisibility verdict (and is forced by it on faithful racks)."""
     base_x: int
     F_order: int
     witnesses: tuple  # (y, intersection_order) for every y
@@ -68,38 +69,28 @@ class IntersectionEvidence(NamedTuple):
 
 def intersection_evidence(X: RackTable, x: int,
                           cap: int = DEFAULT_CAP) -> IntersectionEvidence:
-    """Materialize the inner group, take the centralizer H of the base
-    translation, and intersect F with every translation-conjugate of H by
-    membership tests (F has at most profile-largest many elements)."""
+    """The evidence at base point ``x``, from table lookups.  The inner
+    group is still closed once, so that ``cap`` bounds its order."""
     if not analysis.is_connected(X):
         raise NotConnected("intersection evidence concerns connected racks")
-    return _intersection_evidence(X, analysis.inner_group(X, cap=cap), x)
+    analysis._check_points(X, x)
+    analysis.inner_group(X, cap=cap).order()
+    return _intersection_evidence(X, x)
 
 
-def _intersection_evidence(X: RackTable, G: PermutationGroup,
-                           x: int) -> IntersectionEvidence:
-    """:func:`intersection_evidence` at base point ``x``, given the inner
-    group ``G`` of the connected rack ``X``."""
-    px = X.phi(x)
-    H = G.centralizer(px).element_set()
-    F = [Permutation.identity(X.n)]
-    q = px
-    while not q.is_identity():
-        F.append(q)
-        q = q * px
+def _intersection_evidence(X: RackTable, x: int) -> IntersectionEvidence:
+    """:func:`intersection_evidence` at base point ``x`` of the connected
+    rack ``X``, without the cap."""
+    F_order = X.phi(x).order()
     witnesses = []
-    trivial = None
-    for y in range(X.n):
-        py = X.phi(y)
-        pyinv = py.inverse()
-        order = sum(1 for f in F if (pyinv * f) * py in H)
-        if len(F) % order:
+    for y, row in enumerate(X.table):
+        m = analysis._fiber_orbit_length(X, x, row[x])
+        if F_order % m:
             raise TheoremViolation(
-                f"intersection order {order} does not divide |F| = {len(F)}")
-        witnesses.append((y, order))
-        if order == 1 and trivial is None:
-            trivial = y
-    return IntersectionEvidence(x, len(F), tuple(witnesses), trivial)
+                f"fiber orbit length {m} does not divide |F| = {F_order}")
+        witnesses.append((y, F_order // m))
+    trivial = next((y for y, order in witnesses if order == 1), None)
+    return IntersectionEvidence(x, F_order, tuple(witnesses), trivial)
 
 
 class CrosscheckResult(NamedTuple):
@@ -115,15 +106,11 @@ def divisibility_crosscheck(X: RackTable,
                             cap: int = DEFAULT_CAP) -> CrosscheckResult:
     verdict = hayashi_check(analysis.profile(X))
     faithful = analysis.is_faithful(X)
-    forward_ok = True
-    converse_ok = True if faithful else None
-    G = analysis.inner_group(X, cap=cap)
-    for x in range(X.n):
-        ev = _intersection_evidence(X, G, x)
-        if ev.trivial_witness is not None and not verdict.holds:
-            forward_ok = False
-        if faithful and verdict.holds and ev.trivial_witness is None:
-            converse_ok = False
+    analysis.inner_group(X, cap=cap).order()  # CapExceeded past the cap
+    witnessed = [_intersection_evidence(X, x).trivial_witness is not None
+                 for x in range(X.n)]
+    forward_ok = verdict.holds or not any(witnessed)
+    converse_ok = (not verdict.holds or all(witnessed)) if faithful else None
     return CrosscheckResult(forward_ok, converse_ok)
 
 

@@ -96,11 +96,10 @@ class RackTable:
     __slots__ = ("n", "table", "diagnosis", "_rows", "_orbits", "_cycles",
                  "_cycle_types", "_generators")
 
-    def __init__(self, table: Sequence[Sequence[int]],
-                 diagnosis: Optional[AxiomDiagnosis] = None):
+    def __init__(self, table: Sequence[Sequence[int]]):
         self.table = tuple(tuple(r) for r in table)
         self.n = len(self.table)
-        self.diagnosis = diagnosis if diagnosis is not None else validate(self.table)
+        self.diagnosis = validate(self.table)
         self._rows = None
         self._orbits = None
         self._cycles = None

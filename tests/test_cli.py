@@ -412,6 +412,16 @@ def test_k_tilde_block_harness_wiring_in_analyze(capsys, fixture_path,
     assert "not a block system" in err
 
 
+def test_intersection_harness_wiring_in_analyze(capsys, fixture_path,
+                                               monkeypatch):
+    from quandlekit import analysis
+
+    # the translations of the golden quandle have order 6
+    monkeypatch.setattr(analysis, "_fiber_orbit_length", lambda X, x, z: 4)
+    err = assert_theorem_exit(capsys, "analyze", fixture_path)
+    assert "does not divide |F| = 6" in err
+
+
 def test_primitive_harness_wiring_in_enumerate(capsys, failing_verdicts):
     assert_theorem_exit(capsys, "scan", "--enumerate", "5")
 

@@ -121,7 +121,7 @@ def test_crosscheck_closes_the_inner_group_once(golden, monkeypatch):
     assert len(groups) == 1
     monkeypatch.undo()
     for x in range(golden.n):
-        assert (conjecture._intersection_evidence(golden, groups[0], x)
+        assert (conjecture._intersection_evidence(golden, x)
                 == intersection_evidence(golden, x))
 
 
