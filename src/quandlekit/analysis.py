@@ -169,12 +169,6 @@ def expected_lambda_part_count(X: RackTable, k: int) -> int:
     return total // X.n
 
 
-def _check_points(X: RackTable, *points: int) -> None:
-    for p in points:
-        if not 0 <= p < X.n:
-            raise ValueError(f"point {p} out of range 0..{X.n - 1}")
-
-
 def _fiber_orbit_length(X: RackTable, x: int, z: int) -> int:
     """The least m > 0 with row φ_x^m(z) equal to row z: the orbit length
     of φ_z = row z under conjugation by powers of φ_x, as
@@ -190,7 +184,7 @@ def orbit_divisibility(X: RackTable, x: int, y: int) -> OrbitSizes:
     """Sizes of the two orbits attached to (x, y); the conjugation orbit
     size always divides the point orbit size."""
     X._require_rack()
-    _check_points(X, x, y)
+    X._check_points(x, y)
     lam = next(len(c) for c in X.translation_cycles()[X.phi(x)] if y in c)
     lam_bar = _fiber_orbit_length(X, x, y)
     if lam % lam_bar:

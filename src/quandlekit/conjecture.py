@@ -73,7 +73,7 @@ def intersection_evidence(X: RackTable, x: int,
     group is still closed once, so that ``cap`` bounds its order."""
     if not analysis.is_connected(X):
         raise NotConnected("intersection evidence concerns connected racks")
-    analysis._check_points(X, x)
+    X._check_points(x)
     analysis.inner_group(X, cap=cap).order()
     return _intersection_evidence(X, x)
 

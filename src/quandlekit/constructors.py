@@ -12,7 +12,7 @@ from typing import (Callable, Dict, Iterable, Mapping, NamedTuple, Optional,
                     Sequence, Union)
 
 from . import _kernels
-from .errors import BoundExceeded, TheoremViolation
+from .errors import BoundExceeded, DegreeMismatch, TheoremViolation
 from .perm import (
     DEFAULT_CAP,
     Permutation,
@@ -107,19 +107,29 @@ def make_homogeneous_spec(group: PermutationGroup,
                           alpha: Mapping) -> HomogeneousSpec:
     """Check the invariants of ``alpha``, a map over all group elements:
     it is an automorphism of the group and fixes the subgroup pointwise.
+
+    Both are checked on generators: a bijection with
+    alpha(a·g) = alpha(a)·alpha(g) for every element a and group generator
+    g is a homomorphism (induct on the word length of the second factor),
+    and it fixes the subgroup when it fixes each subgroup generator.
     """
     elems = group.elements()
     amap = dict(alpha)
     if set(amap) != set(elems) or set(amap.values()) != set(elems):
         raise ValueError("alpha is not a bijection of the group elements")
+    gens = [(g, amap[g]) for g in group.generators]
     for a in elems:
-        for b in elems:
-            if amap[a * b] != amap[a] * amap[b]:
+        alpha_a = amap[a]
+        for g, alpha_g in gens:
+            if amap[a * g] != alpha_a * alpha_g:
                 raise ValueError(
-                    f"alpha is not a homomorphism at ({a!r}, {b!r})")
+                    f"alpha is not a homomorphism at ({a!r}, {g!r})")
     subgens = tuple(subgroup_generators)
-    sub = PermutationGroup(group.degree, subgens, cap=group.cap)
-    for h in sub.elements():
+    for h in subgens:
+        if h.degree != group.degree:
+            raise DegreeMismatch(
+                f"generator degree {h.degree} != group degree {group.degree}")
+    for h in subgens:
         if h not in group:
             raise ValueError("subgroup generators do not lie in the group")
         if amap[h] != h:
@@ -207,7 +217,11 @@ def _affine_tuples(orders):
 def make_affine_spec(orders: Sequence[int],
                      alpha: Union[int, Sequence[int], Callable]) -> AffineSpec:
     """Normalize ``alpha`` (a multiplier, an image-index list, or a callable
-    on tuples) and check it is an automorphism."""
+    on tuples) and check it is an automorphism.
+
+    Additivity is checked against the unit vectors, which generate the
+    group, as alpha is checked on generators in
+    :func:`make_homogeneous_spec`."""
     orders = tuple(int(o) for o in orders)
     if not orders:
         raise ValueError("at least one cyclic order is needed")
@@ -229,12 +243,16 @@ def make_affine_spec(orders: Sequence[int],
                 f"alpha image list has {len(images)} entries, expected {len(tuples)}")
     if sorted(images) != list(range(len(tuples))):
         raise ValueError("alpha is not a bijection")
+    image = {t: tuples[i] for t, i in zip(tuples, images)}
+
+    def add(a, b):
+        return tuple((x + y) % o for x, y, o in zip(a, b, orders))
+
+    units = [tuple(1 % o if j == i else 0 for j, o in enumerate(orders))
+             for i in range(len(orders))]
     for a in tuples:
-        for b in tuples:
-            s = tuple((x + y) % o for x, y, o in zip(a, b, orders))
-            ia, ib = tuples[images[index[a]]], tuples[images[index[b]]]
-            expect = tuple((x + y) % o for x, y, o in zip(ia, ib, orders))
-            if tuples[images[index[s]]] != expect:
+        for e in units:
+            if image[add(a, e)] != add(image[a], image[e]):
                 raise ValueError("alpha is not additive (not an automorphism)")
     return AffineSpec(orders, tuple(images))
 

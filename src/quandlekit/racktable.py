@@ -135,7 +135,13 @@ class RackTable:
 
     def op(self, x: int, y: int) -> int:
         """The product ``x ▷ y``."""
+        self._check_points(x, y)
         return self.table[x][y]
+
+    def _check_points(self, *points: int) -> None:
+        for p in points:
+            if not 0 <= p < self.n:
+                raise ValueError(f"point {p} out of range 0..{self.n - 1}")
 
     def _require_rack(self):
         if not self.is_rack:
@@ -145,8 +151,8 @@ class RackTable:
     def phi(self, x: int) -> Permutation:
         """The left translation by ``x`` as a permutation."""
         self._require_rack()
-        rows = self._phi_rows()
-        return rows[x]
+        self._check_points(x)
+        return self._phi_rows()[x]
 
     def _phi_rows(self):
         # Callers check the rack axioms first, so every row is a bijection.

@@ -3,9 +3,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quandlekit import (
     BoundExceeded,
+    DegreeMismatch,
+    QuandlekitError,
     Permutation,
     PermutationGroup,
     affine_quandle,
@@ -26,7 +29,7 @@ from quandlekit import (
     symmetric_group,
     trivial_quandle,
 )
-from quandlekit import constructors
+from quandlekit import _kernels, constructors
 from quandlekit.constructors import rack_from_conjugation_closed
 from quandlekit.racktable import validate
 
@@ -175,6 +178,226 @@ def test_alpha_must_be_an_automorphism():
     swapped[a], swapped[b] = swapped[b], swapped[a]
     with pytest.raises(ValueError):
         make_homogeneous_spec(G, [], swapped)
+
+
+def test_subgroup_generator_of_another_degree():
+    G = symmetric_group(3)
+    with pytest.raises(DegreeMismatch):
+        make_homogeneous_spec(G, [cyc(4, (1, 2))], {g: g for g in G.elements()})
+
+
+def test_subgroup_generators_must_lie_in_the_group():
+    G = PermutationGroup(3, [cyc(3, (1, 2, 3))])
+    with pytest.raises(ValueError, match="do not lie in the group"):
+        make_homogeneous_spec(G, [cyc(3, (1, 2))], {g: g for g in G.elements()})
+
+
+def test_homogeneous_spec_checks_alpha_on_generators(monkeypatch):
+    """On S5 the spec makes at most 2·|G|·|gens| products and builds and
+    closes no subgroup; the all-pairs check made 2·|G|² products and
+    closed H."""
+    G = symmetric_group(5)
+    c = cyc(5, (3, 4, 5))
+    alpha = {g: c.conj(g) for g in G.elements()}
+    counts = {"products": 0, "groups": 0, "closures": 0}
+    mul, init = Permutation.__mul__, PermutationGroup.__init__
+    closure = _kernels.closure_elements
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Permutation, "__mul__", counting("products", mul))
+    monkeypatch.setattr(PermutationGroup, "__init__", counting("groups", init))
+    monkeypatch.setattr(_kernels, "closure_elements",
+                        counting("closures", closure))
+    spec = make_homogeneous_spec(G, [cyc(5, (1, 2))], alpha)
+    assert spec.alpha == alpha
+    assert counts["products"] <= 2 * G.order() * len(G.generators)
+    assert counts["groups"] == counts["closures"] == 0
+
+
+# -- generator checks against the all-pairs oracles ------------------------------------
+
+
+def _all_pairs_homogeneous_spec(group, subgroup_generators, alpha):
+    """``make_homogeneous_spec`` as first built: alpha tested on every pair
+    of group elements and on every element of the closed subgroup."""
+    elems = group.elements()
+    amap = dict(alpha)
+    if set(amap) != set(elems) or set(amap.values()) != set(elems):
+        raise ValueError("alpha is not a bijection of the group elements")
+    for a in elems:
+        for b in elems:
+            if amap[a * b] != amap[a] * amap[b]:
+                raise ValueError(
+                    f"alpha is not a homomorphism at ({a!r}, {b!r})")
+    subgens = tuple(subgroup_generators)
+    sub = PermutationGroup(group.degree, subgens, cap=group.cap)
+    for h in sub.elements():
+        if h not in group:
+            raise ValueError("subgroup generators do not lie in the group")
+        if amap[h] != h:
+            raise ValueError(f"alpha moves the subgroup element {h!r}")
+    return constructors.HomogeneousSpec(group, subgens, amap)
+
+
+def _all_pairs_affine_spec(orders, images):
+    """``make_affine_spec`` as first built, on an image list: additivity
+    tested on every pair of elements."""
+    tuples = list(itertools.product(*(range(o) for o in orders)))
+    index = {t: i for i, t in enumerate(tuples)}
+    if sorted(images) != list(range(len(tuples))):
+        raise ValueError("alpha is not a bijection")
+    for a in tuples:
+        for b in tuples:
+            s = tuple((x + y) % o for x, y, o in zip(a, b, orders))
+            ia, ib = tuples[images[index[a]]], tuples[images[index[b]]]
+            expect = tuple((x + y) % o for x, y, o in zip(ia, ib, orders))
+            if tuples[images[index[s]]] != expect:
+                raise ValueError("alpha is not additive (not an automorphism)")
+    return constructors.AffineSpec(tuple(orders), tuple(images))
+
+
+def _verdict(build, *args):
+    """The spec, or the exception type and message.  The homomorphism
+    message names the failing pair, which the two checks find in different
+    places, so only its text before the pair is kept."""
+    try:
+        return build(*args)
+    except (ValueError, QuandlekitError) as exc:
+        return type(exc), str(exc).split(" at (")[0]
+
+
+DIFFERENTIAL_GROUPS = [
+    symmetric_group(3),
+    symmetric_group(4),
+    PermutationGroup(4, [cyc(4, (1, 2, 3, 4)), cyc(4, (1, 3))]),          # D4
+    PermutationGroup(4, [cyc(4, (1, 2), (3, 4)), cyc(4, (1, 3), (2, 4))]),  # Z2^2
+]
+
+
+AMBIENT = [symmetric_group(G.degree).elements() for G in DIFFERENTIAL_GROUPS]
+# conjugation by an element of the normalizer is an automorphism of the group
+NORMALIZERS = [[c for c in ambient
+                if all(c.conj(g) in G for g in G.generators)]
+               for G, ambient in zip(DIFFERENTIAL_GROUPS, AMBIENT)]
+
+
+def _left_cosets(elems, powers):
+    """Least element of each left coset r<g>, in increasing order (the
+    identity first), with ``powers`` the elements of <g>."""
+    reps, seen = [], set()
+    for x in sorted(elems):
+        if x not in seen:
+            reps.append(x)
+            seen.update(x * p for p in powers)
+    return reps
+
+
+@st.composite
+def homogeneous_inputs(draw):
+    """A group, subgroup generators and a bijection of the group: an
+    automorphism, a coset shuffle of one, an automorphism with two images
+    swapped, or any bijection.  The coset shuffle maps r·g^k to
+    beta(pi(r)·g^k), with g the first group generator and pi a permutation
+    of the left cosets of <g> fixing <g> itself; it passes the check at g
+    for every element and fails at another generator unless it is an
+    automorphism.  Subgroup generators come from the fixed points of the
+    automorphism, from the group, from the symmetric group, or include a
+    permutation of another degree."""
+    i = draw(st.integers(0, len(DIFFERENTIAL_GROUPS) - 1))
+    group, elems = DIFFERENTIAL_GROUPS[i], DIFFERENTIAL_GROUPS[i].elements()
+    c = draw(st.sampled_from(NORMALIZERS[i]))
+    beta = {g: c.conj(g) for g in elems}
+    kind = draw(st.sampled_from(["automorphism", "automorphism",
+                                 "coset shuffle", "swap", "bijection"]))
+    if kind == "automorphism":
+        alpha = beta
+    elif kind == "coset shuffle":
+        g = group.generators[0]
+        powers = [Permutation.identity(group.degree)]
+        while powers[-1] * g != powers[0]:
+            powers.append(powers[-1] * g)
+        reps = _left_cosets(elems, powers)
+        pi = [reps[0]] + draw(st.permutations(reps[1:]))
+        alpha = {r * p: beta[q * p] for r, q in zip(reps, pi) for p in powers}
+    elif kind == "swap":
+        a, b = draw(st.lists(st.sampled_from(elems), min_size=2, max_size=2,
+                             unique=True))
+        alpha = dict(beta)
+        alpha[a], alpha[b] = beta[b], beta[a]
+    else:
+        alpha = dict(zip(elems, draw(st.permutations(elems))))
+    fixed = [g for g in elems if beta[g] == g]
+    pool = draw(st.sampled_from([fixed, elems, AMBIENT[i]]))
+    subgens = draw(st.lists(st.sampled_from(pool), max_size=3))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        subgens.append(Permutation.from_cycles(group.degree + 1, [[0, 1]]))
+    return group, subgens, alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(homogeneous_inputs())
+def test_homogeneous_generator_check_matches_all_pairs(inputs):
+    assert (_verdict(make_homogeneous_spec, *inputs)
+            == _verdict(_all_pairs_homogeneous_spec, *inputs))
+
+
+@st.composite
+def affine_inputs(draw):
+    """Orders and an image list: the linear map sending the unit vectors
+    to drawn elements (an automorphism when it is bijective and each image
+    has an order dividing its unit's), a coset shuffle of it along the
+    first unit vector, the linear map with two images swapped, or any
+    bijection."""
+    orders = draw(st.sampled_from([(2, 2), (3, 3), (4, 2), (5,)]))
+    tuples = list(itertools.product(*(range(o) for o in orders)))
+    index = {t: i for i, t in enumerate(tuples)}
+
+    def add(a, b):
+        return tuple((x + y) % o for x, y, o in zip(a, b, orders))
+
+    unit_images = [draw(st.sampled_from(tuples)) for _ in orders]
+
+    def linear(t):
+        out = tuples[0]
+        for a, u in zip(t, unit_images):
+            for _ in range(a):
+                out = add(out, u)
+        return out
+
+    beta = [index[linear(t)] for t in tuples]
+    kind = draw(st.sampled_from(["linear", "coset shuffle", "swap",
+                                 "bijection"]))
+    if kind == "linear":
+        images = beta
+    elif kind == "coset shuffle":
+        e1 = (1,) + (0,) * (len(orders) - 1)
+        reps = [t for t in tuples if t[0] == 0]
+        pi = [reps[0]] + draw(st.permutations(reps[1:]))
+        images = [None] * len(tuples)
+        for r, q in zip(reps, pi):
+            for _ in range(orders[0]):
+                images[index[r]] = beta[index[q]]
+                r, q = add(r, e1), add(q, e1)
+    elif kind == "swap":
+        i, j = draw(st.lists(st.integers(0, len(tuples) - 1), min_size=2,
+                             max_size=2, unique=True))
+        images = list(beta)
+        images[i], images[j] = beta[j], beta[i]
+    else:
+        images = draw(st.permutations(range(len(tuples))))
+    return orders, images
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_inputs())
+def test_affine_generator_check_matches_all_pairs(inputs):
+    assert (_verdict(make_affine_spec, *inputs)
+            == _verdict(_all_pairs_affine_spec, *inputs))
 
 
 # -- affine quandles -----------------------------------------------------------------

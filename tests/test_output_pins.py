@@ -5,7 +5,8 @@ stdout.  Speedups must not change a result, so a pin that moves flags a
 change of output; update a pin only together with a deliberate change of
 what the command prints.  The ``analyze`` inputs are the golden quandle
 and the tables ``construct`` writes for the specs in ``SPECS``, whose
-output is pinned as well.
+output is pinned as well.  A ``homog`` spec names its group file as
+``{dir}/<file>``; the files of ``GROUP_FILES`` are written there.
 """
 import contextlib
 import hashlib
@@ -16,8 +17,15 @@ import pytest
 from quandlekit.cli import main
 from quandlekit.fixtures import fixture_text
 
-# Every nontrivial class of S4 and S5, and affine quandles over Z_p and
-# Z_3 x Z_3; the classes (2,2) and (3,1) of S4 and Z_6 are not connected.
+# Every nontrivial class of S4 and S5, affine quandles over Z_p, Z_3 x Z_3
+# and Z_2^3, and two coset spaces; the classes (2,2) and (3,1) of S4 and Z_6
+# are not connected.  On Z_2^3, alpha is the companion matrix of x^3 + x + 1.
+# The S5 coset space is the benchmark's: S5 over <(1,2)>, alpha conjugation
+# by (3,4,5); the S4 one is S4 over <(3,4)>, alpha conjugation by (1,2).
+GROUP_FILES = {
+    "s4.perm": "perm 4\n(1,2,3,4)\n(1,2)\n(3,4)\n",
+    "s5.perm": "perm 5\n(1,2,3,4,5)\n(1,2)\n(3,4,5)\n",
+}
 SPECS = {
     "s4-211": "conj d=4 type=2,1,1",
     "s4-22": "conj d=4 type=2,2",
@@ -34,6 +42,9 @@ SPECS = {
     "z11-10": "affine orders=11 alpha=10",
     "z3z3": "affine orders=3,3 alpha=0,4,8,1,5,6,2,3,7",
     "z6-5": "affine orders=6 alpha=5",
+    "z2z2z2": "affine orders=2,2,2 alpha=0,6,1,7,2,4,3,5",
+    "homog-s4": "homog group={dir}/s4.perm sub=3 alpha=conj:(1,2)",
+    "homog-s5": "homog group={dir}/s5.perm sub=2 alpha=conj:(3,4,5)",
 }
 
 
@@ -58,6 +69,10 @@ INVOCATIONS = _invocations()
 PINS = {
     "analyze golden": (0, "f78780496985c42b1d2d72a831adabd53cd4a2e9ca89b869778faef1d657f3a5"),
     "analyze golden --json": (0, "654a8e0d2fa105da7b7d24da14919936326138545087bf33d8e7c60eb6a3454a"),
+    "analyze homog-s4": (0, "aec24c6b66f7e6afe10a107aac3e8e3f7bb44978e6f0d4ff9f579ea3244b9516"),
+    "analyze homog-s4 --json": (0, "570f4526c5f5522e536e7d5d850d27e0001e3846bc4028c597666f0d13e8485e"),
+    "analyze homog-s5": (0, "2af3418c0dac48bed624b91f48723873d72e91b170d4d084da716aa27af9e16d"),
+    "analyze homog-s5 --json": (0, "f7b29f172c1e0c5b76b6183efed2a5e5d0891775c46288dc917ffa54e8476be4"),
     "analyze s4-211": (0, "581d1f6f5849021e0fe08d9b94dfe1931e0e4894c7bf82862e6b37d3366247b8"),
     "analyze s4-211 --json": (0, "9a9c16ddc8c4328e29a11c5f08c8f56dcd1ae055df17f6510f8abf4e3ca54276"),
     "analyze s4-22": (0, "26f26c07fb04ab8dff61039378717ffeee889d97811593194cda246e85145328"),
@@ -80,6 +95,8 @@ PINS = {
     "analyze s5-5 --json": (0, "18bc7dee0f3ae18194edb780513b0cab3f22beb888adb85a2246150cf726b1ac"),
     "analyze z11-10": (0, "aecfe66076420e50f0b821643053d004872e0a3d2127b0f66c4d524279a0d2a8"),
     "analyze z11-10 --json": (0, "890c7b6c87994d873851cbdaf31a3d34f5d4979d73a71d24a86a40cf432bd5fc"),
+    "analyze z2z2z2": (0, "6a1cebbeec02c0e098d0c9d53f58c171fcc856c29e39aee12696dc20e6300b97"),
+    "analyze z2z2z2 --json": (0, "ec825cf8d955d67b40aef8b902d888f50518c280fe199d004bfdf29a1ebcd689"),
     "analyze z3z3": (0, "5666b45e5f3c3c8c8a7ca7945b8a02a7cda889296ab6edf48a406d9edac015c7"),
     "analyze z3z3 --json": (0, "a972e883f40cbe49a7d662f54be8b49fce0e1274bf408015d3eca029ea11df60"),
     "analyze z5-2": (0, "0ccf6fa03236033f70249da02b2e46da9a57db22163d25afb92e3282ad27c470"),
@@ -88,6 +105,8 @@ PINS = {
     "analyze z6-5 --json": (0, "81baf5510f72ece638ef9ae105449de110a79dc9f4fc20f291e97fd06e75135b"),
     "analyze z7-3": (0, "352ff365d4b88ec510461ab4dfc3b6d17ea06dfd1f342d422dfd5db9f65be4f5"),
     "analyze z7-3 --json": (0, "73b11155f4e1a8c5d28160d9dcb59122ae4360cc14b8d136a936ea772b95201b"),
+    "construct homog-s4": (0, "d027dac46a0711f664a32e7bad8b8f09b5aa6574fd1c5602c7c91509a7d9c84a"),
+    "construct homog-s5": (0, "401ec698970e895bc0cd4fd51b89f2104173bcb7fe08f0483e2a9aef1e82f23d"),
     "construct s4-211": (0, "a4414c32939cf4b39c5f592bac4cdf85fea6c96eff1be9abb9757e425297275d"),
     "construct s4-22": (0, "9ec2417fbefc009de56d4f1b946a794fd5b6324ac3335dfff0bcdd49779b3f38"),
     "construct s4-31": (0, "0f057c2165853e26eaaad19055382de1bba12bbf9a449157e45b8e6ec2f1131c"),
@@ -99,6 +118,7 @@ PINS = {
     "construct s5-41": (0, "44261303773ee2252ccea0483578f32f1d1bd3f707ad1af69d66bc46ec7cc91a"),
     "construct s5-5": (0, "0ff6df42b7655b5906beb2a5670c2d45124548a782cd943a12ea45ea478d8362"),
     "construct z11-10": (0, "c9db683ad19386f696e90dfb325b6b5a73fd5d930383aeaf3e94eaf1b563a5c5"),
+    "construct z2z2z2": (0, "e6d93dbeb6558d9aec5018f479cfc8f1f4a1a5585527b1387a6ca0b2d8fe3e01"),
     "construct z3z3": (0, "8c109f2079147f8c526ff32f20ba4e2bc094b708fff394c4a45fc15a4706b014"),
     "construct z5-2": (0, "3266db3d366e692c8307f6ec06c77c77400b1f63ea383ae4485978b0135a0106"),
     "construct z6-5": (0, "c421f2dba40bad44ab33f5e794947f9d68aa3427178e09d43b42d4b25844d2ef"),
@@ -138,10 +158,13 @@ def _run(argv):
 def inputs(tmp_path_factory):
     """Input path of each ``analyze`` target, written by ``construct``."""
     root = tmp_path_factory.mktemp("pins")
-    paths = {"golden": root / "golden.perm"}
+    for name, text in GROUP_FILES.items():
+        (root / name).write_text(text)
+    paths = {"dir": root, "golden": root / "golden.perm"}
     paths["golden"].write_text(fixture_text())
     for name, spec in SPECS.items():
         paths[name] = root / f"{name}.rtbl"
+        spec = spec.format(dir=root)
         assert _run(["--out", str(paths[name]), "construct", spec])[0] == 0
     return {name: str(path) for name, path in paths.items()}
 
@@ -150,6 +173,8 @@ def run_pinned(key, inputs):
     argv = INVOCATIONS[key]
     if argv[0] == "analyze":
         argv = [argv[0], inputs[argv[1]], *argv[2:]]
+    else:
+        argv = [arg.format(dir=inputs["dir"]) for arg in argv]
     return _run(argv)
 
 

@@ -88,6 +88,19 @@ def test_phi_requires_a_rack():
         X.phi(0)
 
 
+@pytest.mark.parametrize("point", [-1, 12])
+def test_phi_rejects_a_point_out_of_range(golden, point):
+    with pytest.raises(ValueError, match=f"point {point} out of range 0..11"):
+        golden.phi(point)
+
+
+@pytest.mark.parametrize("x, y", [(-1, 0), (12, 0), (0, -1), (0, 12)])
+def test_op_rejects_a_point_out_of_range(golden, x, y):
+    bad = x if not 0 <= x < 12 else y
+    with pytest.raises(ValueError, match=f"point {bad} out of range 0..11"):
+        golden.op(x, y)
+
+
 def test_rows_round_trip_through_from_permutation_rows(golden):
     rebuilt = RackTable.from_permutation_rows(list(golden.translations()))
     assert rebuilt == golden
