@@ -17,6 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     BoundExceeded,
+    CapExceeded,
     NotConnected,
     TheoremViolation,
 )
@@ -81,6 +82,18 @@ def inner_group(X: RackTable, cap: int = DEFAULT_CAP) -> PermutationGroup:
     """The group generated by all left translations."""
     X._require_rack()
     return PermutationGroup(X.n, X.distinct_translations(), cap=cap)
+
+
+def inner_order(X: RackTable, cap: int = DEFAULT_CAP) -> int:
+    """|Inn(X)|, found by listing the inner group once per table.  Past
+    ``cap`` it raises the listing's :class:`CapExceeded`; a later call with
+    a cap below the stored order raises the same without listing again."""
+    if X._inner_order is None:
+        X._inner_order = inner_group(X, cap=cap).order()
+    elif X._inner_order > cap:
+        raise CapExceeded(
+            f"group closure on {X.n} points exceeds cap {cap}")
+    return X._inner_order
 
 
 def _inner_action(X: RackTable) -> PermutationGroup:
@@ -245,8 +258,7 @@ def conjugation_rack_quotient_check(perms: Sequence[Permutation],
     rack, _ = rack_from_conjugation_closed(perms)
     degree = perms[0].degree
     G = PermutationGroup(degree, perms, cap=cap)
-    inn_order = inner_group(rack, cap=cap).order()
-    return inn_order * G.center_order() == G.order()
+    return inner_order(rack, cap) * G.center_order() == G.order()
 
 
 def k_tilde_block_diagnostic(X: RackTable) -> list:

@@ -196,8 +196,12 @@ def _int(text: str) -> int:
 
 
 def _ints(text: str):
+    """The integers of a comma-separated list; the empty text is the empty
+    list, and an empty item is malformed."""
+    if text == "":
+        return []
     try:
-        return [int(t) for t in text.split(",") if t != ""]
+        return [int(t) for t in text.split(",")]
     except ValueError:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from None
 
@@ -213,8 +217,9 @@ def construct_from_spec(spec: str, cap: int = DEFAULT_CAP):
         parts = tuple(sorted(_ints(pairs["type"]), reverse=True))
         if sum(parts) != d or any(p < 1 for p in parts):
             raise ParseError(f"type {pairs['type']!r} is not a partition of {d}")
-        from .perm import canonical_of_cycle_type
+        from .perm import canonical_of_cycle_type, symmetric_class_size
 
+        symmetric_class_size(parts, cap)  # CapExceeded before listing
         rep = canonical_of_cycle_type(d, parts)
         quandle = constructors.conjugacy_class_quandle(
             symmetric_group(d, cap=cap), rep)

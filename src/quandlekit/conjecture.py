@@ -69,18 +69,13 @@ class IntersectionEvidence(NamedTuple):
 
 def intersection_evidence(X: RackTable, x: int,
                           cap: int = DEFAULT_CAP) -> IntersectionEvidence:
-    """The evidence at base point ``x``, from table lookups.  The inner
-    group is still closed once, so that ``cap`` bounds its order."""
+    """The evidence at base point ``x``, from table lookups.  ``cap``
+    bounds the order of the inner group, found once per table by
+    :func:`analysis.inner_order`."""
     if not analysis.is_connected(X):
         raise NotConnected("intersection evidence concerns connected racks")
     X._check_points(x)
-    analysis.inner_group(X, cap=cap).order()
-    return _intersection_evidence(X, x)
-
-
-def _intersection_evidence(X: RackTable, x: int) -> IntersectionEvidence:
-    """:func:`intersection_evidence` at base point ``x`` of the connected
-    rack ``X``, without the cap."""
+    analysis.inner_order(X, cap)
     F_order = X.phi(x).order()
     witnesses = []
     for y, row in enumerate(X.table):
@@ -106,8 +101,7 @@ def divisibility_crosscheck(X: RackTable,
                             cap: int = DEFAULT_CAP) -> CrosscheckResult:
     verdict = hayashi_check(analysis.profile(X))
     faithful = analysis.is_faithful(X)
-    analysis.inner_group(X, cap=cap).order()  # CapExceeded past the cap
-    witnessed = [_intersection_evidence(X, x).trivial_witness is not None
+    witnessed = [intersection_evidence(X, x, cap).trivial_witness is not None
                  for x in range(X.n)]
     forward_ok = verdict.holds or not any(witnessed)
     converse_ok = (not verdict.holds or all(witnessed)) if faithful else None

@@ -21,6 +21,7 @@ from .perm import (
     alternating_group,
     canonical_of_cycle_type,
     orbit_partition,
+    symmetric_class_size,
     symmetric_group,
 )
 from .racktable import RackTable, fingerprint, is_isomorphic
@@ -520,7 +521,6 @@ def alternating_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
     if d < 1:
         raise ValueError("degree must be positive")
     A = alternating_group(d, cap=cap)
-    S = symmetric_group(d, cap=cap)
     out = []
     for parts in all_partitions(d):
         if all(p == 1 for p in parts):
@@ -528,7 +528,7 @@ def alternating_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
         rep = canonical_of_cycle_type(d, parts)
         if rep.sign() != 1:
             continue
-        sym_class_size = len(S.conjugacy_class(rep))
+        sym_class_size = symmetric_class_size(parts, cap)
         alt_class = A.conjugacy_class(rep)
         observed_split = len(alt_class) != sym_class_size
         if observed_split != _splits_in_alternating(parts):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from . import _kernels
@@ -563,3 +564,28 @@ def canonical_of_cycle_type(degree: int, parts: Sequence[int]) -> Permutation:
             images[pos + k] = pos + (k + 1) % l
         pos += l
     return _unchecked(tuple(images))
+
+
+def symmetric_class_size(parts: Sequence[int], cap: int = DEFAULT_CAP) -> int:
+    """The size d! / ∏ l^m·m! of the class of cycle type ``parts`` in the
+    symmetric group, m being the number of cycles of length l.
+
+    It is built as a running product of counts, each at least the one
+    before, and raises the class listing's :class:`CapExceeded` as soon as
+    it passes ``cap``, so a class over the cap need never be listed."""
+    size, free = 1, sum(parts)
+    for l in sorted(set(parts) - {1}, reverse=True):
+        k = l * parts.count(l)
+        j = min(k, free - k)
+        # choose the k points on cycles of length l, C(free, k), as the
+        # counts C(free - j + i, i); then split them into cycles, the cycle
+        # through the least point left ordering l - 1 of the others
+        factors = chain(((free - j + i, i) for i in range(1, j + 1)),
+                        ((left - t, 1) for left in range(k, 0, -l)
+                         for t in range(1, l)))
+        for num, den in factors:
+            size = size * num // den
+            if size > cap:
+                raise CapExceeded(f"conjugacy class exceeds cap {cap}")
+        free -= k
+    return size

@@ -94,7 +94,7 @@ class RackTable:
     """An immutable operation table together with its validation verdict."""
 
     __slots__ = ("n", "table", "diagnosis", "_rows", "_orbits", "_cycles",
-                 "_cycle_types", "_generators")
+                 "_cycle_types", "_generators", "_inner_order")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         self.table = tuple(tuple(r) for r in table)
@@ -105,6 +105,7 @@ class RackTable:
         self._cycles = None
         self._cycle_types = None
         self._generators = None
+        self._inner_order = None
 
     # -- constructors -----------------------------------------------------
 

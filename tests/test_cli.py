@@ -269,6 +269,32 @@ def test_construct_rejects_non_automorphism(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("spec", [
+    "affine orders=,3 alpha=1",
+    "conj d=3 type=3,",
+    "conj d=3 type=2,,1",
+])
+def test_construct_rejects_an_empty_list_item(capsys, spec):
+    err = assert_usage_exit(capsys, "construct", spec)
+    assert "expected comma-separated integers" in err
+
+
+@pytest.mark.parametrize("cap", [["--cap", "1000"], []],
+                         ids=["cap-1000", "default-cap"])
+def test_construct_conj_checks_the_class_size_before_listing(capsys,
+                                                             monkeypatch, cap):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the class was listed")
+
+    monkeypatch.setattr(PermutationGroup, "conjugacy_class", forbidden)
+    code, out, err = run(capsys, *cap, "construct", "conj d=1000 type=1000")
+    assert code == 3
+    assert out == ""
+    limit = cap[1] if cap else "1000000"
+    assert f"conjugacy class exceeds cap {limit}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec", ["conj d=x type=1", "affine orders=5 alpha=x"])
 def test_construct_non_integer_exit_code(capsys, spec):
     code, out, err = run(capsys, "construct", spec)

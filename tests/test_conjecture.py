@@ -106,9 +106,11 @@ def test_crosscheck_over_catalog(catalog):
             assert result.converse_ok is None, name
 
 
-def test_crosscheck_closes_the_inner_group_once(golden, monkeypatch):
-    from quandlekit import analysis, conjecture
+def test_crosscheck_closes_the_inner_group_once(monkeypatch):
+    from quandlekit import analysis, smallquandle_12_4
 
+    # a fresh table: the inner order is kept on the table once found
+    golden = smallquandle_12_4()
     groups = []
 
     def counting_inner_group(X, cap):
@@ -121,8 +123,8 @@ def test_crosscheck_closes_the_inner_group_once(golden, monkeypatch):
     assert len(groups) == 1
     monkeypatch.undo()
     for x in range(golden.n):
-        assert (conjecture._intersection_evidence(golden, x)
-                == intersection_evidence(golden, x))
+        assert (intersection_evidence(golden, x)
+                == intersection_evidence(smallquandle_12_4(), x))
 
 
 def test_largest_length_is_translation_order_when_divisibility_holds(catalog):

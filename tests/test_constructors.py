@@ -1,5 +1,6 @@
 """Class quandles, homogeneous and affine constructions, enumeration, scans."""
 import itertools
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from quandlekit import (
     BoundExceeded,
+    CapExceeded,
     DegreeMismatch,
     QuandlekitError,
     Permutation,
@@ -31,6 +33,11 @@ from quandlekit import (
 )
 from quandlekit import _kernels, constructors
 from quandlekit.constructors import rack_from_conjugation_closed
+from quandlekit.perm import (
+    all_partitions,
+    canonical_of_cycle_type,
+    symmetric_class_size,
+)
 from quandlekit.racktable import validate
 
 
@@ -609,18 +616,74 @@ def test_scan_d6_includes_an_order_six_class():
     assert mixed.element_order == 6
 
 
-def test_scan_class_sizes_match_the_counting_formula():
-    import math
+def _class_size_oracle(parts):
+    """d! over the centralizer order, the product of l^m·m! over the
+    cycle lengths l with multiplicities m."""
+    counts = {}
+    for part in parts:
+        counts[part] = counts.get(part, 0) + 1
+    centralizer = 1
+    for length, mult in counts.items():
+        centralizer *= length ** mult * math.factorial(mult)
+    return math.factorial(sum(parts)) // centralizer
 
+
+def test_scan_class_sizes_match_the_counting_formula():
     for d in (3, 4, 5):
         for rec in symmetric_class_scan(d):
-            counts = {}
-            for part in rec.parts:
-                counts[part] = counts.get(part, 0) + 1
-            centralizer = 1
-            for length, mult in counts.items():
-                centralizer *= length ** mult * math.factorial(mult)
-            assert rec.class_size == math.factorial(d) // centralizer
+            assert rec.class_size == _class_size_oracle(rec.parts)
+
+
+def test_class_size_equals_the_listed_class():
+    for d in range(1, 8):
+        G = symmetric_group(d)
+        for parts in all_partitions(d):
+            rep = canonical_of_cycle_type(d, parts)
+            size = len(G.conjugacy_class(rep))
+            assert symmetric_class_size(parts) == size, parts
+            assert size == _class_size_oracle(parts), parts
+            assert symmetric_class_size(parts, cap=size) == size, parts
+            if size == 1:
+                continue
+            below = PermutationGroup(d, G.generators, cap=size - 1)
+            with pytest.raises(CapExceeded) as listed:
+                below.conjugacy_class(rep)
+            with pytest.raises(CapExceeded) as counted:
+                symmetric_class_size(parts, cap=size - 1)
+            assert str(counted.value) == str(listed.value), parts
+
+
+def test_class_size_stops_at_the_cap():
+    # 999! and 1000!/2 would take long to form in full; the running product
+    # stops within a few factors
+    for parts in [(1000,), (2,) * 500, (10 ** 6,)]:
+        with pytest.raises(CapExceeded, match="^conjugacy class exceeds cap 1000000$"):
+            symmetric_class_size(parts)
+    assert symmetric_class_size((1,) * 10 ** 5) == 1
+    assert symmetric_class_size((2,) + (1,) * 998) == 1000 * 999 // 2
+
+
+def _forbidden_listing(*args, **kwargs):
+    raise AssertionError("a conjugacy class was listed")
+
+
+def test_alt_scan_takes_the_symmetric_class_size_from_the_formula(monkeypatch):
+    listing = PermutationGroup.conjugacy_class
+    listed = []
+
+    def recording(group, p):
+        listed.append(group)
+        return listing(group, p)
+
+    monkeypatch.setattr(PermutationGroup, "conjugacy_class", recording)
+    records = alternating_class_scan(5)
+    assert [r.class_size for r in records] == [12, 12, 20, 15]
+    # only classes of A5, generated by 3-cycles, are listed
+    assert listed and all(g.sign() == 1 for G in listed for g in G.generators)
+    # the 24 five-cycles pass a cap of 23: raised before any listing
+    monkeypatch.setattr(PermutationGroup, "conjugacy_class", _forbidden_listing)
+    with pytest.raises(CapExceeded, match="^conjugacy class exceeds cap 23$"):
+        alternating_class_scan(5, cap=23)
 
 
 def test_scan_bound():

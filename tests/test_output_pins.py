@@ -61,12 +61,16 @@ def _invocations():
     for mode in ("--sym", "--alt"):
         out += [(f"scan {mode} {d}", ["scan", mode, str(d)])
                 for d in range(1, 6)]
+    # the 999! 1000-cycles pass the cap: exit 3 before the class is listed
+    out.append(("--cap 1000 construct conj d=1000 type=1000",
+                ["--cap", "1000", "construct", "conj d=1000 type=1000"]))
     return dict(out)
 
 
 INVOCATIONS = _invocations()
 
 PINS = {
+    "--cap 1000 construct conj d=1000 type=1000": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "analyze golden": (0, "f78780496985c42b1d2d72a831adabd53cd4a2e9ca89b869778faef1d657f3a5"),
     "analyze golden --json": (0, "654a8e0d2fa105da7b7d24da14919936326138545087bf33d8e7c60eb6a3454a"),
     "analyze homog-s4": (0, "aec24c6b66f7e6afe10a107aac3e8e3f7bb44978e6f0d4ff9f579ea3244b9516"),

@@ -8,6 +8,7 @@ from quandlekit import (
     Permutation,
     PermutationGroup,
     TheoremViolation,
+    _kernels,
     analysis,
     conjecture,
 )
@@ -103,9 +104,9 @@ def test_evidence_equals_the_centralizer_form(differential_racks):
         G = qk.inner_group(X)
         assert (qk.intersection_evidence(X, 0)
                 == centralizer_evidence(X, G, 0)), name
-        # the public form closes the inner group on every call, for the cap
+        # the inner order, for the cap, is found once per table
         for x in range(X.n):
-            assert (conjecture._intersection_evidence(X, x)
+            assert (qk.intersection_evidence(X, x)
                     == centralizer_evidence(X, G, x)), (name, x)
 
 
@@ -173,3 +174,74 @@ def test_evidence_multiplies_no_permutations(which, request, monkeypatch):
             for x in (0, X.n - 1)] == expected_evidence
     sizes = qk.orbit_divisibility(X, 0, X.n - 1)
     assert sizes.lam % sizes.lam_bar == 0
+
+
+# -- |Inn(X)| once per table ------------------------------------------------------------
+# The inner order is kept on the table, and the session's golden quandle may
+# already hold it, so these tests build their own tables.
+
+
+def _six_cycle_class_rack():
+    return qk.conjugacy_class_quandle(
+        qk.symmetric_group(6),
+        Permutation.from_cycles(6, [list(range(6))])).rack
+
+
+def _counting_closures(monkeypatch):
+    """Record the degree of every group closure from now on."""
+    calls = []
+    closure = _kernels.closure_elements
+
+    def counting(degree, generators, cap):
+        calls.append(degree)
+        return closure(degree, generators, cap)
+
+    monkeypatch.setattr(_kernels, "closure_elements", counting)
+    return calls
+
+
+@pytest.mark.parametrize("build, order", [
+    (qk.smallquandle_12_4, 72),
+    (_six_cycle_class_rack, 720),
+])
+def test_evidence_lists_the_inner_group_once_per_table(build, order,
+                                                       monkeypatch):
+    X = build()
+    calls = _counting_closures(monkeypatch)
+    for x in range(X.n):
+        qk.intersection_evidence(X, x)
+    assert calls == [X.n]
+    assert analysis.inner_order(X) == order
+    assert calls == [X.n]
+
+
+def test_inner_order_keeps_the_cap_without_listing_again(monkeypatch):
+    with pytest.raises(CapExceeded) as listed:
+        qk.inner_group(qk.smallquandle_12_4(), cap=71).order()
+    X = qk.smallquandle_12_4()
+    calls = _counting_closures(monkeypatch)
+    assert analysis.inner_order(X, 72) == 72
+    with pytest.raises(CapExceeded) as stored:
+        analysis.inner_order(X, 71)
+    assert str(stored.value) == str(listed.value)
+    assert str(stored.value) == "group closure on 12 points exceeds cap 71"
+    assert calls == [12]
+
+
+def test_a_failed_inner_order_stores_nothing(monkeypatch):
+    X = qk.smallquandle_12_4()
+    calls = _counting_closures(monkeypatch)
+    with pytest.raises(CapExceeded, match="exceeds cap 71"):
+        analysis.inner_order(X, 71)
+    assert analysis.inner_order(X, 72) == 72
+    assert calls == [12, 12]
+
+
+def test_crosscheck_keeps_the_cap_on_a_fresh_table():
+    X = qk.smallquandle_12_4()
+    with pytest.raises(CapExceeded):
+        qk.divisibility_crosscheck(X, cap=5)
+    result = qk.divisibility_crosscheck(X)
+    assert (result.forward_ok, result.converse_ok) == (True, True)
+    with pytest.raises(CapExceeded):
+        qk.divisibility_crosscheck(X, cap=5)
