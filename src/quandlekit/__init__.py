@@ -22,15 +22,12 @@ from .perm import (
     Permutation,
     PermutationGroup,
     alternating_group,
-    compose,
-    conjugate,
     symmetric_group,
 )
 from .racktable import (
     AxiomDiagnosis,
     IsoWitness,
     RackTable,
-    emit_perm_file,
     emit_rtbl,
     fingerprint,
     is_isomorphic,
@@ -44,7 +41,6 @@ from .analysis import (
     OrbitSizes,
     PrimitivityReport,
     Profile,
-    automorphism_group,
     center_check,
     conjugation_rack_quotient_check,
     fibers,
@@ -72,7 +68,6 @@ from .constructors import (
     homogeneous_quandle,
     make_affine_spec,
     make_homogeneous_spec,
-    regular_abelian_group,
     symmetric_class_scan,
     trivial_quandle,
 )

@@ -1,9 +1,9 @@
 """Structural analysis of validated racks.
 
-Covers the inner and full automorphism groups, connectedness, faithfulness,
-fibers of the translation map, the profile (common translation cycle type of
-a connected rack), per-length translation-part multisets, orbit divisibility,
-and primitivity of the inner action.
+Covers the inner group, connectedness, faithfulness, fibers of the
+translation map, the profile (common translation cycle type of a connected
+rack), per-length translation-part multisets, orbit divisibility, and
+primitivity of the inner action.
 
 Facts that are theorems for these structures (uniform fiber size on
 connected racks, profile well-definedness, conjugation-orbit divisibility)
@@ -15,16 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import (
-    BoundExceeded,
-    CapExceeded,
-    NotConnected,
-    TheoremViolation,
-)
-from .perm import DEFAULT_CAP, CycleType, PermutationGroup
-from .racktable import RackTable, _isomorphism_search
-
-AUT_SEARCH_BOUND = 16
+from .errors import CapExceeded, NotConnected, TheoremViolation
+from .perm import DEFAULT_CAP, CycleType, Permutation, PermutationGroup
+from .racktable import RackTable
 
 
 class Profile(NamedTuple):
@@ -134,12 +127,6 @@ def is_faithful(X: RackTable) -> bool:
     return len(set(X.table)) == X.n
 
 
-def per_element_cycle_types(X: RackTable) -> list:
-    """Cycle type of every translation (serves non-connected racks, where
-    no single profile exists)."""
-    return list(X.cycle_types())
-
-
 def profile(X: RackTable) -> Profile:
     """The common cycle type of the translations of a connected rack."""
     X._require_rack()
@@ -226,26 +213,6 @@ def center_check(X: RackTable, cap: int = DEFAULT_CAP) -> bool:
     if not is_faithful(X):
         raise ValueError("center check requires a faithful rack")
     return inner_group(X, cap=cap).center_order() == 1
-
-
-def automorphism_group(X: RackTable, bound: int = AUT_SEARCH_BOUND,
-                       cap: int = DEFAULT_CAP) -> PermutationGroup:
-    """All table automorphisms, found by backtracking with invariant-class
-    pruning.  Contains the inner group (verified)."""
-    X._require_rack()
-    if X.n > bound:
-        raise BoundExceeded(
-            f"automorphism search bound is {bound}, table has {X.n} elements")
-    sols = _isomorphism_search(X, X, collect=True)
-    elems = tuple(sols)
-    group = PermutationGroup(X.n, elems, cap=cap)
-    group._elements = elems
-    group._element_set = frozenset(elems)
-    for t in X.distinct_translations():
-        if t not in group._element_set:
-            raise TheoremViolation(
-                "a translation map is missing from the automorphism set")
-    return group
 
 
 def conjugation_rack_quotient_check(perms: Sequence[Permutation],

@@ -33,7 +33,7 @@ from .errors import (
     QuandlekitError,
     TheoremViolation,
 )
-from .perm import DEFAULT_CAP, Permutation, symmetric_group
+from .perm import DEFAULT_CAP, Permutation, canonical_of_cycle_type
 from .racktable import RackTable, emit_rtbl, parse_rack_file
 
 EXIT_OK = 0
@@ -217,12 +217,8 @@ def construct_from_spec(spec: str, cap: int = DEFAULT_CAP):
         parts = tuple(sorted(_ints(pairs["type"]), reverse=True))
         if sum(parts) != d or any(p < 1 for p in parts):
             raise ParseError(f"type {pairs['type']!r} is not a partition of {d}")
-        from .perm import canonical_of_cycle_type, symmetric_class_size
-
-        symmetric_class_size(parts, cap)  # CapExceeded before listing
+        quandle = constructors.symmetric_class_quandle(d, parts, cap)
         rep = canonical_of_cycle_type(d, parts)
-        quandle = constructors.conjugacy_class_quandle(
-            symmetric_group(d, cap=cap), rep)
         comment = (f"conjugacy class quandle: degree {d}, "
                    f"type {','.join(map(str, parts))}, rep {rep.cycle_string()}")
         return quandle.rack, comment

@@ -1,7 +1,9 @@
 """Builders for racks and quandles from group-theoretic data.
 
-Finite groups are always handled as permutation groups with materialized
-element sets; coset representatives and class-element orderings are fixed
+Finite groups are handled as permutation groups given by generators.  The
+homogeneous construction lists the group's elements; the class quandles,
+the class scans and the enumeration list conjugacy classes, never the
+ambient group.  Coset representatives and class-element orderings are fixed
 deterministically (image-array lexicographic order) so every constructed
 table is reproducible bit-exactly.
 """
@@ -92,6 +94,17 @@ def conjugacy_class_quandle(G: PermutationGroup, g: Permutation) -> ClassQuandle
     return ClassQuandle(rack, labels, G.degree)
 
 
+def symmetric_class_quandle(d: int, parts: Sequence[int],
+                            cap: int = DEFAULT_CAP) -> ClassQuandle:
+    """The quandle of the class of cycle type ``parts`` in the symmetric
+    group of degree d.  The class size is computed first, so a class over
+    ``cap`` raises the listing's :class:`CapExceeded` without being
+    listed."""
+    symmetric_class_size(parts, cap)
+    return conjugacy_class_quandle(symmetric_group(d, cap=cap),
+                                   canonical_of_cycle_type(d, parts))
+
+
 # -- homogeneous quandles ----------------------------------------------------------
 
 
@@ -166,27 +179,6 @@ def homogeneous_quandle(spec: HomogeneousSpec) -> RackTable:
             row.append(index[rep_of[z]])
         table.append(row)
     return _as_promised(table, "quandle", "homogeneous construction")
-
-
-def regular_abelian_group(orders: Sequence[int]):
-    """The product of cyclic groups acting on itself by translation.
-
-    Returns ``(group, elements)`` with elements in row-major tuple order and
-    ``elements[k]`` the translation permutation of the k-th tuple.
-    """
-    orders = tuple(orders)
-    tuples = list(itertools.product(*(range(o) for o in orders)))
-    index = {t: i for i, t in enumerate(tuples)}
-
-    def translation(t):
-        return Permutation(
-            index[tuple((a + b) % o for a, b, o in zip(u, t, orders))]
-            for u in tuples
-        )
-
-    elements = [translation(t) for t in tuples]
-    group = PermutationGroup(len(tuples), elements)
-    return group, elements
 
 
 # -- affine quandles --------------------------------------------------------------
@@ -487,13 +479,11 @@ def symmetric_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
         raise BoundExceeded(f"class scan bound is {bound}, requested {d}")
     if d < 1:
         raise ValueError("degree must be positive")
-    G = symmetric_group(d, cap=cap)
     out = []
     for parts in all_partitions(d):
         if all(p == 1 for p in parts):
             continue
-        rep = canonical_of_cycle_type(d, parts)
-        quandle = conjugacy_class_quandle(G, rep)
+        quandle = symmetric_class_quandle(d, parts, cap)
         out.append(_class_record(quandle, parts))
     return out
 

@@ -84,15 +84,6 @@ class Permutation:
             cycles.append(pts)
         return cls.from_cycles(degree, cycles)
 
-    @classmethod
-    def from_one_line(cls, text: str) -> "Permutation":
-        """Parse the machine-exchange form: space-separated 1-based images."""
-        try:
-            images = [int(tok) - 1 for tok in text.split()]
-        except ValueError:
-            raise ParseError(f"bad image list: {text!r}") from None
-        return cls(images)
-
     @property
     def degree(self) -> int:
         return len(self._images)
@@ -123,15 +114,6 @@ class Permutation:
         if len(s) != len(o):
             raise DegreeMismatch(f"degree {len(s)} vs {len(o)}")
         return _unchecked(tuple([s[j] for j in o]))
-
-    def __pow__(self, k: int) -> "Permutation":
-        n = self.degree
-        images = [0] * n
-        for cycle in self.cycles():
-            l = len(cycle)
-            for pos, pt in enumerate(cycle):
-                images[pt] = cycle[(pos + k) % l]
-        return _unchecked(tuple(images))
 
     def inverse(self) -> "Permutation":
         out = [0] * len(self._images)
@@ -205,10 +187,6 @@ class Permutation:
             "(" + ",".join(str(p + 1) for p in c) + ")" for c in cycles
         )
 
-    def one_line(self) -> str:
-        """1-based image list, e.g. ``"1 4 2 3"``."""
-        return " ".join(str(i + 1) for i in self._images)
-
     def __repr__(self):
         return f"Permutation[{self.cycle_string()} deg={self.degree}]"
 
@@ -239,16 +217,6 @@ def orbit_partition(degree: int, rows: Sequence[Sequence[int]]) -> list:
                     orbit.append(q)
         out.append(frozenset(orbit))
     return out
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """The permutation mapping ``i`` to ``p(q(i))`` (``q`` acts first)."""
-    return p * q
-
-
-def conjugate(a: Permutation, b: Permutation) -> Permutation:
-    """``a * b * a.inverse()``."""
-    return a.conj(b)
 
 
 class CycleType:

@@ -16,13 +16,13 @@ Text formats (1-based, '#' starts a comment):
   RTBL:  ``rtbl <n>`` then n lines of n space-separated integers
          (line x lists the images of the translation by x).
   PERM:  ``perm <n>`` then one disjoint-cycle permutation per line;
-         fixed points are optional on input.
+         fixed points are optional.
 
-Both formats round-trip bit-exactly through their writers.
+RTBL round-trips bit-exactly through its writer; PERM is an input format.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import _kernels
 from .errors import DegreeMismatch, NotARack, ParseError
@@ -294,21 +294,13 @@ def fingerprint(X: RackTable) -> str:
     return f"n={X.n};elems=[{';'.join(items)}];orbits={orbit_sizes}"
 
 
-def is_homomorphic_image(X: RackTable, Y: RackTable, f: Permutation) -> bool:
-    """Full scan: f(x ▷ y) == f(x) ▷' f(y) for all x, y."""
-    return all(
-        f(X.table[x][y]) == Y.table[f(x)][f(y)]
-        for x in range(X.n)
-        for y in range(X.n)
-    )
-
-def _isomorphism_search(X: RackTable, Y: RackTable, collect: bool = False) -> list:
-    """Backtracking search for table isomorphisms X -> Y.
+def _isomorphism_search(X: RackTable, Y: RackTable) -> list:
+    """Backtracking search for a table isomorphism X -> Y.
 
     Candidate images must share the source element's invariant (translation
     cycle type, idempotence flag, inner orbit size); source elements are
-    processed smallest invariant class first.  Returns the solutions found
-    (all of them with ``collect``, else at most one).
+    processed smallest invariant class first.  Returns a list holding the
+    first isomorphism found, or an empty list when there is none.
     """
     X._require_rack()
     Y._require_rack()
@@ -359,7 +351,7 @@ def _isomorphism_search(X: RackTable, Y: RackTable, collect: bool = False) -> li
     def rec(i: int) -> bool:
         if i == n:
             solutions.append(_unchecked(tuple(f)))
-            return not collect
+            return True
         x = order[i]
         for y in classes_y[inv_x[x]]:
             if used[y]:
@@ -459,16 +451,6 @@ def parse_perm_file(text: str) -> tuple:
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from None
     return n, perms
-
-
-def emit_perm_file(degree: int, perms: Iterable[Permutation],
-                   comment: Optional[str] = None) -> str:
-    out = []
-    if comment:
-        out.extend(f"# {line}" for line in comment.splitlines())
-    out.append(f"perm {degree}")
-    out.extend(p.cycle_string() for p in perms)
-    return "\n".join(out) + "\n"
 
 
 def parse_rack_file(text: str) -> RackTable:

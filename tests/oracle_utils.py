@@ -1,6 +1,7 @@
 """Brute-force oracles shared by the test modules.
 
-Deliberately simple: exhaustive enumeration over all set partitions.
+Deliberately simple: exhaustive enumeration over all set partitions, and a
+full scan of every product for homomorphisms.
 """
 
 
@@ -23,3 +24,12 @@ def brute_block_partitions(G):
         if G.is_block(cells):
             out.append(cells)
     return out
+
+
+def is_homomorphic_image(X, Y, f):
+    """Full scan: f(x ▷ y) == f(x) ▷' f(y) for all x, y."""
+    return all(
+        f(X.table[x][y]) == Y.table[f(x)][f(y)]
+        for x in range(X.n)
+        for y in range(X.n)
+    )

@@ -1,16 +1,14 @@
-"""Inner/full automorphism groups, connectedness, fibers, profiles, parts,
-orbit divisibility, primitivity, and the center/quotient checks."""
+"""Inner group, connectedness, fibers, profiles, parts, orbit divisibility,
+primitivity, and the center/quotient checks."""
 from collections import Counter
 
 import pytest
 
 from quandlekit import (
-    BoundExceeded,
     NotConnected,
     Permutation,
     PermutationGroup,
     TheoremViolation,
-    automorphism_group,
     center_check,
     conjugacy_class_quandle,
     conjugation_rack_quotient_check,
@@ -30,7 +28,7 @@ from quandlekit import (
     symmetric_group,
     trivial_quandle,
 )
-from quandlekit.analysis import expected_lambda_part_count, per_element_cycle_types
+from quandlekit.analysis import expected_lambda_part_count
 from quandlekit.constructors import rack_from_conjugation_closed
 
 from oracle_utils import brute_block_partitions
@@ -58,32 +56,6 @@ def test_golden_inner_group(golden):
     assert G.degree == 12
     assert G.is_transitive()
     assert G.order() == 72
-
-
-# -- automorphism group ----------------------------------------------------------
-
-
-def test_automorphisms_of_trivial_quandle_form_symmetric_group():
-    assert automorphism_group(trivial_quandle(3)).order() == 6
-    assert automorphism_group(trivial_quandle(4)).order() == 24
-
-
-def test_automorphism_group_of_dihedral_3():
-    assert automorphism_group(dihedral_quandle(3)).order() == 6
-
-
-def test_aut_contains_inn_on_catalog(catalog):
-    for name, X in catalog:
-        if X.n > 8:
-            continue
-        aut = automorphism_group(X).element_set()
-        for t in X.distinct_translations():
-            assert t in aut, name
-
-
-def test_automorphism_bound_is_enforced():
-    with pytest.raises(BoundExceeded):
-        automorphism_group(trivial_quandle(17))
 
 
 # -- connectedness ------------------------------------------------------------------
@@ -162,7 +134,7 @@ def test_profile_requires_connectedness():
     with pytest.raises(NotConnected):
         profile(trivial_quandle(2))
     # non-connected racks still expose their per-element types
-    types = per_element_cycle_types(trivial_quandle(2))
+    types = trivial_quandle(2).cycle_types()
     assert [str(t) for t in types] == ["1^2", "1^2"]
 
 

@@ -346,6 +346,19 @@ def test_scan_bound_exit_code(capsys):
     assert "resource limit" in err
 
 
+def test_scan_sym_checks_each_class_size_before_listing(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the class was listed")
+
+    # the 11-cycles of S11 number 10! > 1000000, the default cap
+    monkeypatch.setattr(PermutationGroup, "conjugacy_class", forbidden)
+    code, out, err = run(capsys, "scan", "--sym", "11", "--bound", "11")
+    assert code == 3
+    assert out == ""
+    assert err == ("quandlekit: resource limit: "
+                   "conjugacy class exceeds cap 1000000\n")
+
+
 def test_scan_json(capsys):
     code, out, _ = run(capsys, "scan", "--sym", "3", "--json")
     assert code == 0

