@@ -14,23 +14,28 @@ from typing import (Callable, Dict, Iterable, Mapping, NamedTuple, Optional,
                     Sequence, Union)
 
 from . import _kernels
-from .errors import BoundExceeded, DegreeMismatch, TheoremViolation
+from .errors import (BoundExceeded, CapExceeded, DegreeMismatch,
+                     TheoremViolation)
 from .perm import (
     DEFAULT_CAP,
+    CycleType,
     Permutation,
     PermutationGroup,
     all_partitions,
     alternating_group,
     canonical_of_cycle_type,
     orbit_partition,
+    symmetric_class,
     symmetric_class_size,
-    symmetric_group,
 )
 from .racktable import RackTable, fingerprint, is_isomorphic
 from .analysis import Profile, is_connected, profile
 
 ENUMERATION_BOUND = 8
 CLASS_SCAN_BOUND = 7
+# Entries of the largest operation table built from a conjugacy class: 2^25
+# admits every class of S8, the largest having 5760^2 = 33.2 M entries.
+TABLE_BOUND = 2 ** 25
 
 
 # -- simple tables -------------------------------------------------------------
@@ -73,14 +78,24 @@ class ClassQuandle(NamedTuple):
     ambient_degree: int
 
 
+def _check_table(stage: str, n: int) -> None:
+    """Raise :class:`CapExceeded` when an n-point table passes TABLE_BOUND."""
+    if n * n > TABLE_BOUND:
+        raise CapExceeded(
+            f"{stage}: table of {n}^2 = {n * n} entries exceeds "
+            f"the table bound {TABLE_BOUND}")
+
+
 def rack_from_conjugation_closed(perms: Sequence[Permutation]):
     """Operation table of a conjugation-closed set of permutations.
 
     Elements are sorted by image array and labeled 0..n-1; entry (x, y) is
-    the label of ``p_x p_y p_x^-1``.  Returns ``(rack, labels)``.
+    the label of ``p_x p_y p_x^-1``.  Returns ``(rack, labels)``.  A table
+    of more than TABLE_BOUND entries raises :class:`CapExceeded` unbuilt.
     """
     labels = tuple(sorted(set(perms)))
     degree = labels[0].degree
+    _check_table(f"conjugation rack in degree {degree}", len(labels))
     table = _kernels.conjugation_table([p.images for p in labels], degree)
     if table is None:
         raise ValueError("permutation set is not closed under conjugation")
@@ -98,11 +113,12 @@ def symmetric_class_quandle(d: int, parts: Sequence[int],
                             cap: int = DEFAULT_CAP) -> ClassQuandle:
     """The quandle of the class of cycle type ``parts`` in the symmetric
     group of degree d.  The class size is computed first, so a class over
-    ``cap`` raises the listing's :class:`CapExceeded` without being
-    listed."""
-    symmetric_class_size(parts, cap)
-    return conjugacy_class_quandle(symmetric_group(d, cap=cap),
-                                   canonical_of_cycle_type(d, parts))
+    ``cap``, or one whose table would pass TABLE_BOUND, raises
+    :class:`CapExceeded` without being listed; the cap is checked first."""
+    _check_table(f"class quandle of cycle type {CycleType.from_lengths(parts)} "
+                 f"in degree {d}", symmetric_class_size(parts, cap))
+    return ClassQuandle(
+        *rack_from_conjugation_closed(symmetric_class(d, parts, cap)), d)
 
 
 # -- homogeneous quandles ----------------------------------------------------------
@@ -290,7 +306,9 @@ def _search_connected_tables(n: int, quandle_only: bool,
     candidate rows are one conjugacy class of the symmetric group; the cycle
     length of x within its own row is constant across x, and a relabeling
     can always move the lexicographically least permutation realizing those
-    invariants into row 0.  Each class is built under ``cap``.
+    invariants into row 0.  Each class is sized from its cycle type before
+    it is listed, so a class over ``cap`` raises :class:`CapExceeded`
+    unlisted.
 
     A row is a candidate for x only when x is the least point of its own
     cycle: since φ_{x▷x} = φ_x, every point of that cycle has row φ_x, and
@@ -298,7 +316,6 @@ def _search_connected_tables(n: int, quandle_only: bool,
     the cycle already holds a row other than φ_x (had it held φ_x,
     propagation would already have set row x) and the branch would die.
     """
-    sym = symmetric_group(n, cap=cap)
     tables = []
 
     def least_cycle_len_map(p: Permutation) -> list:
@@ -312,7 +329,7 @@ def _search_connected_tables(n: int, quandle_only: bool,
     for parts in all_partitions(n):
         if quandle_only and 1 not in parts:
             continue
-        pool = sym.conjugacy_class(canonical_of_cycle_type(n, parts))
+        pool = symmetric_class(n, parts, cap)
         pool_lens = [least_cycle_len_map(p) for p in pool]
         for own_len in ((1,) if quandle_only else sorted(set(parts))):
             # candidate rows per point: own point least on a cycle of

@@ -557,3 +557,15 @@ def symmetric_class_size(parts: Sequence[int], cap: int = DEFAULT_CAP) -> int:
                 raise CapExceeded(f"conjugacy class exceeds cap {cap}")
         free -= k
     return size
+
+
+def symmetric_class(degree: int, parts: Sequence[int],
+                    cap: int = DEFAULT_CAP) -> list:
+    """The class of cycle type ``parts`` in the symmetric group of
+    ``degree``, listed in BFS order from
+    :func:`canonical_of_cycle_type` under conjugation by the generators of
+    :func:`symmetric_group`.  The size is computed first, so a class over
+    ``cap`` raises the listing's :class:`CapExceeded` unlisted."""
+    symmetric_class_size(parts, cap)
+    return symmetric_group(degree, cap=cap).conjugacy_class(
+        canonical_of_cycle_type(degree, parts))

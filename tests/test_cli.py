@@ -9,7 +9,6 @@ from quandlekit import (
     emit_rtbl,
     is_isomorphic,
     parse_rack_file,
-    symmetric_group,
     trivial_quandle,
 )
 from quandlekit.cli import main
@@ -295,6 +294,29 @@ def test_construct_conj_checks_the_class_size_before_listing(capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,stage,size", [
+    (["construct", "conj d=9 type=9"],
+     "class quandle of cycle type 9^1 in degree 9", 40320),
+    (["construct", "conj d=1000 type=2" + ",1" * 998],
+     "class quandle of cycle type 1^998 2^1 in degree 1000", 499500),
+    (["scan", "--sym", "9", "--bound", "9"],
+     "class quandle of cycle type 9^1 in degree 9", 40320),
+], ids=["conj-9-cycles", "conj-s1000-transpositions", "scan-sym-9"])
+def test_class_table_bound_exits_3_before_listing(capsys, monkeypatch,
+                                                  argv, stage, size):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the class was listed")
+
+    # each class fits the default cap, but its table passes 2^25 entries
+    monkeypatch.setattr(PermutationGroup, "conjugacy_class", forbidden)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == (f"quandlekit: resource limit: {stage}: table of "
+                   f"{size}^2 = {size * size} entries exceeds "
+                   "the table bound 33554432\n")
+
+
 @pytest.mark.parametrize("spec", ["conj d=x type=1", "affine orders=5 alpha=x"])
 def test_construct_non_integer_exit_code(capsys, spec):
     code, out, err = run(capsys, "construct", spec)
@@ -500,16 +522,17 @@ def test_enumeration_promise(capsys, monkeypatch, argv):
     assert_theorem_exit(capsys, *argv)
 
 
-def test_enumeration_class_cap_exits_3(capsys, monkeypatch):
-    from quandlekit import constructors
+def test_enumeration_sizes_each_class_before_listing(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the class was listed")
 
-    # the search takes its rows from classes of S_n under the class cap
-    monkeypatch.setattr(constructors, "symmetric_group",
-                        lambda n, cap: symmetric_group(n, cap=20))
-    code, out, err = run(capsys, "scan", "--enumerate", "5")
+    # the search's first class at order 11, type 10,1, has 11!/10 elements
+    monkeypatch.setattr(PermutationGroup, "conjugacy_class", forbidden)
+    code, out, err = run(capsys, "scan", "--enumerate", "11", "--bound", "11")
     assert code == 3
     assert out == ""
-    assert "conjugacy class exceeds cap 20" in err
+    assert err == ("quandlekit: resource limit: "
+                   "conjugacy class exceeds cap 1000000\n")
 
 
 @pytest.mark.parametrize("extra", [[], ["--racks"]])
@@ -524,6 +547,16 @@ def test_cap_reaches_enumeration(capsys, extra):
     assert out == ""
     assert "conjugacy class exceeds cap 29" in err
     assert "Traceback" not in err
+
+
+def test_enumeration_builds_no_class_table(capsys, monkeypatch):
+    from quandlekit import constructors
+
+    argv = ["scan", "--enumerate", "5"]
+    code, default_out, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(constructors, "TABLE_BOUND", 0)
+    assert run(capsys, *argv) == (0, default_out, "")
 
 
 def test_alt_splitting_criterion_harness(capsys, monkeypatch):

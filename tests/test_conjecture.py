@@ -1,11 +1,18 @@
 """Divisibility verdicts, intersection evidence, harness checks, reports."""
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
 
 from quandlekit import (
     CycleType,
     NotConnected,
+    Permutation,
     TheoremViolation,
+    affine_quandle,
     alternating_class_divisibility_check,
+    conjugacy_class_quandle,
     dihedral_quandle,
     divisibility_crosscheck,
     enumerate_connected_quandles,
@@ -14,9 +21,11 @@ from quandlekit import (
     inner_group,
     intersection_evidence,
     is_faithful,
+    make_affine_spec,
     primitive_divisibility_check,
     profile,
     symmetric_class_divisibility_check,
+    symmetric_group,
     trivial_quandle,
 )
 from quandlekit.analysis import inner_action_primitivity
@@ -240,6 +249,34 @@ def test_full_report_derives_each_cycle_type_once(monkeypatch):
     X = smallquandle_12_4()
     full_report(X)
     assert len(built) == X.n
+
+
+def _analyze_json_invariants():
+    """The benchmark's list of the report fields that survive relabeling,
+    loaded from ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.analyze_json_invariants
+
+
+@pytest.mark.parametrize("name", ["golden-12", "conj-6-6", "affine-61"])
+def test_full_report_invariants_survive_relabeling(golden, name):
+    X = {
+        "golden-12": lambda: golden,
+        "conj-6-6": lambda: conjugacy_class_quandle(
+            symmetric_group(6), Permutation.from_cycles(6, [list(range(6))])).rack,
+        "affine-61": lambda: affine_quandle(make_affine_spec([61], 2)).rack,
+    }[name]()
+    invariants = _analyze_json_invariants()
+    expected = invariants(full_report(X).to_json_dict())
+    for seed in range(3):
+        images = list(range(X.n))
+        random.Random(f"{name}:{seed}").shuffle(images)
+        Y = X.relabel(Permutation(images))
+        assert Y.table != X.table
+        assert invariants(full_report(Y).to_json_dict()) == expected, seed
 
 
 def test_alternating_check_small_degrees():

@@ -31,10 +31,14 @@ from quandlekit import (
     trivial_quandle,
 )
 from quandlekit import _kernels, constructors
-from quandlekit.constructors import rack_from_conjugation_closed
+from quandlekit.constructors import (
+    rack_from_conjugation_closed,
+    symmetric_class_quandle,
+)
 from quandlekit.perm import (
     all_partitions,
     canonical_of_cycle_type,
+    symmetric_class,
     symmetric_class_size,
 )
 from quandlekit.racktable import validate
@@ -670,6 +674,62 @@ def test_class_size_stops_at_the_cap():
 
 def _forbidden_listing(*args, **kwargs):
     raise AssertionError("a conjugacy class was listed")
+
+
+def test_symmetric_class_is_the_listing_from_the_canonical_element():
+    for d in range(1, 8):
+        G = symmetric_group(d)
+        for parts in all_partitions(d):
+            listed = G.conjugacy_class(canonical_of_cycle_type(d, parts))
+            assert symmetric_class(d, parts) == listed, parts
+
+
+def test_symmetric_class_is_sized_before_listing(monkeypatch):
+    monkeypatch.setattr(PermutationGroup, "conjugacy_class", _forbidden_listing)
+    # the 4-cycles of S5 number 30
+    with pytest.raises(CapExceeded, match="^conjugacy class exceeds cap 29$"):
+        symmetric_class(5, (4, 1), cap=29)
+
+
+def test_table_bound_admits_every_class_of_s8():
+    largest = max(symmetric_class_size(p) for p in all_partitions(8))
+    assert largest == 5760
+    assert largest ** 2 <= constructors.TABLE_BOUND
+    assert symmetric_class_size((9,)) ** 2 > constructors.TABLE_BOUND
+
+
+def test_class_quandle_checks_the_table_bound_before_listing(monkeypatch):
+    built = symmetric_class_quandle(4, (2, 1, 1))
+    assert built == conjugacy_class_quandle(symmetric_group(4), cyc(4, (1, 2)))
+    monkeypatch.setattr(constructors, "TABLE_BOUND", 36)
+    assert symmetric_class_quandle(4, (2, 1, 1)) == built
+    monkeypatch.setattr(constructors, "TABLE_BOUND", 35)
+    monkeypatch.setattr(PermutationGroup, "conjugacy_class", _forbidden_listing)
+    with pytest.raises(CapExceeded) as exc:
+        symmetric_class_quandle(4, (2, 1, 1))
+    assert str(exc.value) == (
+        "class quandle of cycle type 1^2 2^1 in degree 4: "
+        "table of 6^2 = 36 entries exceeds the table bound 35")
+    # the count check comes first
+    with pytest.raises(CapExceeded, match="^conjugacy class exceeds cap 5$"):
+        symmetric_class_quandle(4, (2, 1, 1), cap=5)
+
+
+def test_conjugation_rack_checks_the_table_bound_before_the_table(monkeypatch):
+    transpositions = symmetric_group(4).conjugacy_class(cyc(4, (1, 2)))
+    monkeypatch.setattr(constructors, "TABLE_BOUND", 36)
+    assert rack_from_conjugation_closed(transpositions)[0].n == 6
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(constructors, "TABLE_BOUND", 35)
+    monkeypatch.setattr(_kernels, "conjugation_table", forbidden)
+    with pytest.raises(CapExceeded) as exc:
+        rack_from_conjugation_closed(transpositions)
+    assert str(exc.value) == (
+        "conjugation rack in degree 4: "
+        "table of 6^2 = 36 entries exceeds the table bound 35")
 
 
 def test_alt_scan_takes_the_symmetric_class_size_from_the_formula(monkeypatch):
