@@ -10,6 +10,7 @@ table is reproducible bit-exactly.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import (Callable, Dict, Iterable, Mapping, NamedTuple, Optional,
                     Sequence, Union)
 
@@ -21,6 +22,7 @@ from .perm import (
     CycleType,
     Permutation,
     PermutationGroup,
+    _unchecked,
     all_partitions,
     alternating_group,
     canonical_of_cycle_type,
@@ -29,7 +31,7 @@ from .perm import (
     symmetric_class_size,
 )
 from .racktable import RackTable, fingerprint, is_isomorphic
-from .analysis import Profile, is_connected, profile
+from .analysis import Profile, is_connected
 
 ENUMERATION_BOUND = 8
 CLASS_SCAN_BOUND = 7
@@ -109,16 +111,23 @@ def conjugacy_class_quandle(G: PermutationGroup, g: Permutation) -> ClassQuandle
     return ClassQuandle(rack, labels, G.degree)
 
 
+def _sized_symmetric_class(d: int, parts: Sequence[int], cap: int) -> list:
+    """The listed class of cycle type ``parts`` in degree d.  The class size
+    is computed first, so a class over ``cap``, or one whose table would pass
+    TABLE_BOUND, raises :class:`CapExceeded` without being listed; the cap
+    is checked first."""
+    _check_table(f"class quandle of cycle type {CycleType.from_lengths(parts)} "
+                 f"in degree {d}", symmetric_class_size(parts, cap))
+    return symmetric_class(d, parts, cap)
+
+
 def symmetric_class_quandle(d: int, parts: Sequence[int],
                             cap: int = DEFAULT_CAP) -> ClassQuandle:
     """The quandle of the class of cycle type ``parts`` in the symmetric
-    group of degree d.  The class size is computed first, so a class over
-    ``cap``, or one whose table would pass TABLE_BOUND, raises
-    :class:`CapExceeded` without being listed; the cap is checked first."""
-    _check_table(f"class quandle of cycle type {CycleType.from_lengths(parts)} "
-                 f"in degree {d}", symmetric_class_size(parts, cap))
+    group of degree d, sized against ``cap`` and TABLE_BOUND before it is
+    listed."""
     return ClassQuandle(
-        *rack_from_conjugation_closed(symmetric_class(d, parts, cap)), d)
+        *rack_from_conjugation_closed(_sized_symmetric_class(d, parts, cap)), d)
 
 
 # -- homogeneous quandles ----------------------------------------------------------
@@ -332,10 +341,11 @@ def _search_connected_tables(n: int, quandle_only: bool,
         pool = symmetric_class(n, parts, cap)
         pool_lens = [least_cycle_len_map(p) for p in pool]
         for own_len in ((1,) if quandle_only else sorted(set(parts))):
-            # candidate rows per point: own point least on a cycle of
-            # length own_len
+            # candidate rows per point, as image tuples: own point least on
+            # a cycle of length own_len
             cands = [
-                [p for p, lens in zip(pool, pool_lens) if lens[i] == own_len]
+                [p.images for p, lens in zip(pool, pool_lens)
+                 if lens[i] == own_len]
                 for i in range(n)
             ]
             rows: list = [None] * n
@@ -345,15 +355,29 @@ def _search_connected_tables(n: int, quandle_only: bool,
 
 
 def _complete_rows(n: int, rows: list, cands: list) -> list:
-    """DFS with trail-based undo.  Assigning rows x and y forces row
-    ``rows[x](y)`` to be the conjugate of row y by row x; contradictions
-    prune the branch.  Completed assignments satisfy left
-    self-distributivity by construction; each is returned as a table of
-    row images."""
+    """DFS with trail-based undo over rows given as image tuples.  Assigning
+    rows x and y forces row ``rows[x][y]`` to be the conjugate of row y by
+    row x; contradictions prune the branch.  Completed assignments satisfy
+    left self-distributivity by construction; each is returned as a table
+    of row images."""
+    if n == 1:
+        # the one row is the identity; itemgetter needs two indices to
+        # return a tuple
+        return [tuple(rows)]
     out = []
     trail = [0]
+    getters: dict = {}  # row p -> (u -> u·p, u -> u·p⁻¹)
 
-    def set_row(i: int, p: Permutation, pending: list) -> None:
+    def getters_of(p: tuple) -> tuple:
+        pair = getters.get(p)
+        if pair is None:
+            inv = [0] * n
+            for i, j in enumerate(p):
+                inv[j] = i
+            pair = getters[p] = (itemgetter(*p), itemgetter(*inv))
+        return pair
+
+    def set_row(i: int, p: tuple, pending: list) -> None:
         rows[i] = p
         trail.append(i)
         for j in range(n):
@@ -366,8 +390,9 @@ def _complete_rows(n: int, rows: list, cands: list) -> list:
         while pending:
             x, y = pending.pop()
             px, py = rows[x], rows[y]
-            t = px(y)
-            forced = px.conj(py)
+            t = px[y]
+            # px·py·px⁻¹
+            forced = getters_of(px)[1](getters_of(py)[0](px))
             current = rows[t]
             if current is not None:
                 if current != forced:
@@ -384,7 +409,7 @@ def _complete_rows(n: int, rows: list, cands: list) -> list:
         try:
             i = rows.index(None)
         except ValueError:
-            out.append(tuple(p.images for p in rows))
+            out.append(tuple(rows))
             return
         for cand in cands[i]:
             mark = len(trail)
@@ -463,26 +488,108 @@ class ClassScanRecord(NamedTuple):
     split_witness_ok: Optional[bool] = None
 
 
-def _class_record(quandle: ClassQuandle, parts, split=None,
-                  check_witness=False, cap=DEFAULT_CAP) -> ClassScanRecord:
+def _conjugation_action(cls: Sequence[Permutation]) -> tuple:
+    """Connectedness and profile of the quandle of a listed conjugacy class,
+    read off conjugation by class elements: x ▷ y = x y x⁻¹, so the
+    translation by x is conjugation by x on the class, and no operation
+    table is built.
+
+    The quandle is connected when the orbit of ``cls[0]`` under the group
+    the class generates covers the class.  Class elements join the
+    generators in listing order until it does.  ``cls[0]`` joins first, so
+    an element already in the orbit is a conjugate of it by the group so
+    far and is skipped; a disconnected class ends up trying every element
+    outside the orbit.  The profile is the cycle type of conjugation by
+    ``cls[0]``, checked equal for every generator used.
+
+    Returns ``(connected, profile or None, generators)``, the generators
+    being class elements that generate the same group as the class.
+    """
+    elems = [p.images for p in cls]
+    n = len(elems)
+    index = {e: i for i, e in enumerate(elems)}
+    # compose[i](c) is c·e_i (itemgetter(*a)(b) lists b[a[0]], b[a[1]], ...)
+    compose = [itemgetter(*e) for e in elems]
+    inside = [False] * n
+    inside[0] = True
+    orbit = [0]
+    generators = []
+    actions = []  # (c, undo): undo(compose[i](c)) is c·e_i·c⁻¹
+    for k, c in enumerate(elems):
+        if k:
+            if len(orbit) == n:
+                break
+            if inside[k]:
+                continue
+        inv = [0] * len(c)
+        for i, j in enumerate(c):
+            inv[j] = i
+        generators.append(cls[k])
+        actions.append((c, itemgetter(*inv)))
+        # the orbit so far is closed under the earlier generators, so they
+        # act on the points it gains only
+        known, pos = len(orbit), 0
+        while pos < len(orbit):
+            i = orbit[pos]
+            for g, undo in (actions if pos >= known else actions[-1:]):
+                j = index[undo(compose[i](g))]
+                if not inside[j]:
+                    inside[j] = True
+                    orbit.append(j)
+            pos += 1
+    if len(orbit) < n:
+        return False, None, generators
+    # a connected class needs few generators, so their conjugations are
+    # formed again here rather than kept for every generator tried
+    types = {
+        _unchecked(tuple([index[undo(get(g))] for get in compose])).cycle_type()
+        for g, undo in actions
+    }
+    if len(types) != 1:
+        raise TheoremViolation(
+            "connected rack has translations of unequal cycle type")
+    ct = types.pop()
+    if ct.lengths[0] != 1:
+        raise TheoremViolation("quandle profile must start with length 1")
+    return True, Profile(ct), generators
+
+
+def _class_inner_order(generators: Sequence[Permutation]) -> int:
+    """|Inn(X)| for the quandle X of a conjugacy class that ``generators``
+    generate as a group G: conjugation maps G onto Inn(X), and its kernel,
+    the centralizer of a generating set, is the center of G."""
+    G = PermutationGroup(generators[0].degree, generators)
+    return G.order() // G.center_order()
+
+
+def _class_scan_record(cls: Sequence[Permutation], parts, split=None,
+                       check_witness=False,
+                       cap=DEFAULT_CAP) -> ClassScanRecord:
+    """The record of one listed class.  With ``check_witness`` a connected
+    class also gets its table, for the trivial-intersection witness at point
+    0; |Inn(X)| comes from the generators found on the way, and a group over
+    ``cap`` raises the listing's :class:`CapExceeded`."""
     from .conjecture import hayashi_check, intersection_evidence
 
-    rack = quandle.rack
-    rep_order = quandle.labels[0].order()
-    connected = is_connected(rack)
-    prof = profile(rack) if connected else None
-    verdict = hayashi_check(prof) if prof is not None else None
+    connected, prof, generators = _conjugation_action(cls)
     witness_ok = None
-    if check_witness and connected and split is not None:
-        ev = intersection_evidence(rack, 0, cap=cap)
-        witness_ok = ev.trivial_witness is not None
+    if check_witness and connected:
+        rack, _ = rack_from_conjugation_closed(cls)
+        order = _class_inner_order(generators)
+        if order > cap:
+            raise CapExceeded(
+                f"group closure on {rack.n} points exceeds cap {cap}")
+        # analysis.inner_order reads the stored order instead of listing Inn(X)
+        rack._inner_order = order
+        evidence = intersection_evidence(rack, 0, cap=cap)
+        witness_ok = evidence.trivial_witness is not None
     return ClassScanRecord(
         parts=parts,
-        class_size=rack.n,
-        element_order=rep_order,
+        class_size=len(cls),
+        element_order=cls[0].order(),
         connected=connected,
         profile=prof,
-        hayashi=verdict,
+        hayashi=None if prof is None else hayashi_check(prof),
         split=split,
         split_witness_ok=witness_ok,
     )
@@ -491,18 +598,15 @@ def _class_record(quandle: ClassQuandle, parts, split=None,
 def symmetric_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
                          cap: int = DEFAULT_CAP) -> list:
     """One record per noncentral conjugacy class of the symmetric group of
-    degree d (i.e. every class except the identity's)."""
+    degree d (i.e. every class except the identity's).  Each class is sized
+    against ``cap`` and TABLE_BOUND before it is listed, as for
+    :func:`symmetric_class_quandle`, but no table is built."""
     if d > bound:
         raise BoundExceeded(f"class scan bound is {bound}, requested {d}")
     if d < 1:
         raise ValueError("degree must be positive")
-    out = []
-    for parts in all_partitions(d):
-        if all(p == 1 for p in parts):
-            continue
-        quandle = symmetric_class_quandle(d, parts, cap)
-        out.append(_class_record(quandle, parts))
-    return out
+    return [_class_scan_record(_sized_symmetric_class(d, parts, cap), parts)
+            for parts in all_partitions(d) if any(p != 1 for p in parts)]
 
 
 def _splits_in_alternating(parts) -> bool:
@@ -519,9 +623,11 @@ def alternating_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
     against the odd-and-distinct-lengths criterion.
 
     For split classes the trivial-intersection witness is verified up to
-    degree 6, where the inner groups stay small.  From degree 7 on
+    degree 6, on tables of at most 72 points.  From degree 7 on
     ``split_witness_ok`` is None, which ``scan --alt`` prints as
-    ``split_witness=None``.
+    ``split_witness=None``.  Each class, or each half of a split one, is
+    sized from the criterion against ``cap`` and TABLE_BOUND before it is
+    listed.
     """
     if d > bound:
         raise BoundExceeded(f"class scan bound is {bound}, requested {d}")
@@ -536,14 +642,15 @@ def alternating_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
         if rep.sign() != 1:
             continue
         sym_class_size = symmetric_class_size(parts, cap)
+        split = _splits_in_alternating(parts)
+        _check_table(f"conjugation rack in degree {d}",
+                     sym_class_size // 2 if split else sym_class_size)
         alt_class = A.conjugacy_class(rep)
-        observed_split = len(alt_class) != sym_class_size
-        if observed_split != _splits_in_alternating(parts):
+        if (len(alt_class) != sym_class_size) != split:
             raise TheoremViolation(
                 f"class splitting criterion failed for type {parts} in degree {d}")
-        if not observed_split:
-            quandle = ClassQuandle(*rack_from_conjugation_closed(alt_class), d)
-            out.append(_class_record(quandle, parts))
+        if not split:
+            out.append(_class_scan_record(alt_class, parts))
             continue
         if 2 * len(alt_class) != sym_class_size:
             raise TheoremViolation(
@@ -554,8 +661,6 @@ def alternating_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
             raise TheoremViolation(
                 f"split halves of type {parts} are not disjoint in degree {d}")
         for label, half in (("a", alt_class), ("b", other_class)):
-            quandle = ClassQuandle(*rack_from_conjugation_closed(half), d)
-            out.append(
-                _class_record(quandle, parts, split=label,
-                              check_witness=d <= 6, cap=cap))
+            out.append(_class_scan_record(half, parts, split=label,
+                                          check_witness=d <= 6, cap=cap))
     return out

@@ -68,9 +68,9 @@ def validate(table: Sequence[Sequence[int]]) -> AxiomDiagnosis:
     for x, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"row {x + 1} has length {len(row)}, expected {n}")
-        for e in row:
-            if not 0 <= e < n:
-                raise ValueError(f"entry {e} in row {x + 1} out of range 0..{n - 1}")
+        if min(row) < 0 or max(row) >= n:
+            e = next(e for e in row if not 0 <= e < n)
+            raise ValueError(f"entry {e} in row {x + 1} out of range 0..{n - 1}")
     witnesses = []
     for x, row in enumerate(rows):
         if len(set(row)) != n:
@@ -423,9 +423,8 @@ def emit_rtbl(X: RackTable, comment: Optional[str] = None) -> str:
     if comment:
         out.extend(f"# {line}" for line in comment.splitlines())
     out.append(f"rtbl {X.n}")
-    out.extend(
-        " ".join(str(e + 1) for e in row) for row in X.table
-    )
+    labels = [str(e + 1) for e in range(X.n)]
+    out.extend(" ".join([labels[e] for e in row]) for row in X.table)
     return "\n".join(out) + "\n"
 
 

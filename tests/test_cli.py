@@ -301,7 +301,11 @@ def test_construct_conj_checks_the_class_size_before_listing(capsys,
      "class quandle of cycle type 1^998 2^1 in degree 1000", 499500),
     (["scan", "--sym", "9", "--bound", "9"],
      "class quandle of cycle type 9^1 in degree 9", 40320),
-], ids=["conj-9-cycles", "conj-s1000-transpositions", "scan-sym-9"])
+    # the 9-cycles split in A9: each half is sized from the split criterion
+    (["scan", "--alt", "9", "--bound", "9"],
+     "conjugation rack in degree 9", 20160),
+], ids=["conj-9-cycles", "conj-s1000-transpositions", "scan-sym-9",
+        "scan-alt-9"])
 def test_class_table_bound_exits_3_before_listing(capsys, monkeypatch,
                                                   argv, stage, size):
     def forbidden(*args, **kwargs):
@@ -498,8 +502,9 @@ def _swap_in_row_0(table):
     return table
 
 
+# scan --sym builds no table; scan --alt 4 builds those of the split 3-cycles
 @pytest.mark.parametrize("argv", [
-    ["construct", "conj d=4 type=3,1"], ["scan", "--sym", "4"],
+    ["construct", "conj d=4 type=3,1"], ["scan", "--alt", "4"],
 ])
 def test_conjugation_construction_promise(capsys, monkeypatch, argv):
     from quandlekit import _kernels

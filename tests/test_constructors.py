@@ -545,7 +545,7 @@ def _listed_search_tables(n, quandle_only):
             continue
         pool = by_type[ctype]
         for own_len in ((1,) if quandle_only else ctype.lengths):
-            cands = [[p for p in pool if cycle_len_at(p, i) == own_len]
+            cands = [[p.images for p in pool if cycle_len_at(p, i) == own_len]
                      for i in range(n)]
             if not cands[0]:
                 continue

@@ -60,7 +60,7 @@ def _invocations():
              ["scan", "--enumerate", str(n), "--racks"]) for n in range(1, 6)]
     for mode in ("--sym", "--alt"):
         out += [(f"scan {mode} {d}", ["scan", mode, str(d)])
-                for d in range(1, 6)]
+                for d in range(1, 8)]
     # the 999! 1000-cycles pass the cap: exit 3 before the class is listed
     out.append(("--cap 1000 construct conj d=1000 type=1000",
                 ["--cap", "1000", "construct", "conj d=1000 type=1000"]))
@@ -132,6 +132,8 @@ PINS = {
     "scan --alt 3": (0, "e0fa5e8feecb4144311c95526af3786f30a40cf378ffb4c31f509519181653ed"),
     "scan --alt 4": (0, "7a6121d25013fac30e0ceb1e3b24475bccadd33c8b2d1efdcdb907636d222d09"),
     "scan --alt 5": (0, "f73351671372be396c4d2eb1abef5bd2f824a79749fdc1dfbab7ebc5a273a419"),
+    "scan --alt 6": (0, "c4da0d7a3283c7284d986f5316f2ea7967f88b85f5e4e5cf86d3b0fbf7b32247"),
+    "scan --alt 7": (0, "88f7aa657284e1cd5a47cbb9e8a3b4a5437264f02d010d25c9f954d4bdaea935"),
     "scan --enumerate 1": (0, "949b074a29b3e989cdf7e8b4c6cce9dd903b377dd631944096ecadca5171e961"),
     "scan --enumerate 1 --racks": (0, "375ea04b62f8d2e8150e9a78ce359f5515e4effc6eb054d8a09172a1e713bc8b"),
     "scan --enumerate 2": (0, "f7555db03e21a12ea5282bfc4dde4bbb108b2e99fb63e70f6aa59c35d3e0bad6"),
@@ -148,6 +150,8 @@ PINS = {
     "scan --sym 3": (0, "39940b9eaf5553b0634a1c5aca35cf426675d952aa92dacfe7b2991d98aa805f"),
     "scan --sym 4": (0, "3da5f15db4d73c1fac44129b29a8016f7b84f7e8f241df6de77cbd8b2a7f2eb1"),
     "scan --sym 5": (0, "5f72cb09ed14aaa1037e5f7a57c9574adad7b8c47ecb0cb74b7dcbe29068429e"),
+    "scan --sym 6": (0, "a4db707eeadbd1eb8fba9a32f7cabbe3d2f8628dc4f31195625c758653e1e391"),
+    "scan --sym 7": (0, "7c299989721c0b3f365a06d0304eb8400bf96bb9fe886e407f38361c3e39cb91"),
 }
 
 

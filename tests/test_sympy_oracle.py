@@ -8,13 +8,19 @@ import pytest
 
 from quandlekit import analysis
 from quandlekit.analysis import inner_action_primitivity, inner_group
-from quandlekit.constructors import _splits_in_alternating
+from quandlekit.constructors import (
+    _class_inner_order,
+    _conjugation_action,
+    _splits_in_alternating,
+    rack_from_conjugation_closed,
+)
 from quandlekit.perm import (
     all_partitions,
     canonical_of_cycle_type,
     symmetric_class_size,
 )
 
+from test_class_scans import _alternating_halves
 from test_table_evidence import _differential_racks
 
 pytest.importorskip("sympy")
@@ -74,3 +80,14 @@ def test_primitivity_matches_sympy(racks_with_sympy_groups):
     for name, X, G in racks_with_sympy_groups:
         assert (inner_action_primitivity(X).primitive
                 == G.is_primitive(randomized=False)), name
+
+
+@pytest.mark.parametrize("d", range(3, 7))
+def test_split_half_inner_orders_match_sympy(d):
+    for parts, split, half in _alternating_halves(d):
+        if split is None:
+            continue
+        X, _ = rack_from_conjugation_closed(half)
+        G = SympyGroup([_sympy_perm(p.images) for p in X.distinct_translations()])
+        generators = _conjugation_action(half)[2]
+        assert _class_inner_order(generators) == G.order(), (parts, split)
