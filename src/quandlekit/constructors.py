@@ -10,6 +10,7 @@ table is reproducible bit-exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import itemgetter
 from typing import (Callable, Dict, Iterable, Mapping, NamedTuple, Optional,
                     Sequence, Union)
@@ -185,6 +186,8 @@ def homogeneous_quandle(spec: HomogeneousSpec) -> RackTable:
     G = spec.group
     sub = PermutationGroup(G.degree, spec.subgroup_generators, cap=G.cap)
     hset = sub.element_set()
+    _check_table(f"homogeneous quandle of |G|={G.order()}, |H|={len(hset)}",
+                 G.order() // len(hset))
     rep_of: Dict[Permutation, Permutation] = {}
     reps = []
     # in increasing order, the first element met of each coset is its least
@@ -229,6 +232,10 @@ class AffineResult(NamedTuple):
 
 
 def _affine_tuples(orders):
+    """The group elements in row-major order; a group whose table would
+    pass TABLE_BOUND raises :class:`CapExceeded` unlisted."""
+    _check_table(f"affine quandle of orders {','.join(map(str, orders))}",
+                 math.prod(orders))
     return list(itertools.product(*(range(o) for o in orders)))
 
 
@@ -494,13 +501,12 @@ def _conjugation_action(cls: Sequence[Permutation]) -> tuple:
     translation by x is conjugation by x on the class, and no operation
     table is built.
 
-    The quandle is connected when the orbit of ``cls[0]`` under the group
-    the class generates covers the class.  Class elements join the
-    generators in listing order until it does.  ``cls[0]`` joins first, so
-    an element already in the orbit is a conjugate of it by the group so
-    far and is skipped; a disconnected class ends up trying every element
-    outside the orbit.  The profile is the cycle type of conjugation by
-    ``cls[0]``, checked equal for every generator used.
+    Conjugation by a generator is formed once, as an index row over the
+    class.  Class elements join the generators in listing order, skipping
+    any element in the orbit of a generator under the rows so far: such an
+    element is a conjugate of a generator by the group they span, so it
+    adds nothing to that group.  The quandle is connected when the rows
+    have one orbit, and its profile is their common cycle type.
 
     Returns ``(connected, profile or None, generators)``, the generators
     being class elements that generate the same group as the class.
@@ -510,41 +516,19 @@ def _conjugation_action(cls: Sequence[Permutation]) -> tuple:
     index = {e: i for i, e in enumerate(elems)}
     # compose[i](c) is c·e_i (itemgetter(*a)(b) lists b[a[0]], b[a[1]], ...)
     compose = [itemgetter(*e) for e in elems]
-    inside = [False] * n
-    inside[0] = True
-    orbit = [0]
-    generators = []
-    actions = []  # (c, undo): undo(compose[i](c)) is c·e_i·c⁻¹
+    taken, rows, known = [], [], set()
     for k, c in enumerate(elems):
-        if k:
-            if len(orbit) == n:
-                break
-            if inside[k]:
-                continue
-        inv = [0] * len(c)
-        for i, j in enumerate(c):
-            inv[j] = i
-        generators.append(cls[k])
-        actions.append((c, itemgetter(*inv)))
-        # the orbit so far is closed under the earlier generators, so they
-        # act on the points it gains only
-        known, pos = len(orbit), 0
-        while pos < len(orbit):
-            i = orbit[pos]
-            for g, undo in (actions if pos >= known else actions[-1:]):
-                j = index[undo(compose[i](g))]
-                if not inside[j]:
-                    inside[j] = True
-                    orbit.append(j)
-            pos += 1
-    if len(orbit) < n:
+        if k in known:
+            continue
+        undo = itemgetter(*cls[k].inverse().images)  # c·e_i -> c·e_i·c⁻¹
+        taken.append(k)
+        rows.append(tuple([index[undo(get(c))] for get in compose]))
+        orbits = orbit_partition(n, rows)
+        known = set().union(*(o for o in orbits if not o.isdisjoint(taken)))
+    generators = [cls[k] for k in taken]
+    if len(orbits) > 1:
         return False, None, generators
-    # a connected class needs few generators, so their conjugations are
-    # formed again here rather than kept for every generator tried
-    types = {
-        _unchecked(tuple([index[undo(get(g))] for get in compose])).cycle_type()
-        for g, undo in actions
-    }
+    types = {_unchecked(row).cycle_type() for row in rows}
     if len(types) != 1:
         raise TheoremViolation(
             "connected rack has translations of unequal cycle type")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from . import _kernels
@@ -378,21 +379,22 @@ class PermutationGroup:
         """Orbit of ``p`` under conjugation by the group, in BFS order."""
         if p.degree != self.degree:
             raise DegreeMismatch(f"degree {p.degree} vs {self.degree}")
+        # the conjugate g·e·g⁻¹ is g's images read at e·g⁻¹, which a fixed
+        # getter per generator forms from e's images
+        steps = [(g.images, itemgetter(*g.inverse().images))
+                 for g in self.generators]
         seen = {p.images}
-        queue = [p]
-        qi = 0
-        while qi < len(queue):
-            e = queue[qi]
-            qi += 1
-            for g in self.generators:
-                w = g.conj(e)
-                if w.images not in seen:
+        queue = [p.images]
+        for e in queue:
+            for g, after_inverse in steps:
+                w = itemgetter(*after_inverse(e))(g)
+                if w not in seen:
                     if len(seen) >= self.cap:
                         raise CapExceeded(
                             f"conjugacy class exceeds cap {self.cap}")
-                    seen.add(w.images)
+                    seen.add(w)
                     queue.append(w)
-        return queue
+        return [_unchecked(e) for e in queue]
 
     # -- blocks and primitivity ---------------------------------------------
 

@@ -428,8 +428,8 @@ def emit_rtbl(X: RackTable, comment: Optional[str] = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_perm_file(text: str) -> tuple:
-    """Parse a PERM file into ``(degree, [Permutation, ...])``."""
+def _perm_lines(text: str) -> tuple:
+    """The degree of a PERM file and its permutation lines, unparsed."""
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty PERM input")
@@ -443,8 +443,19 @@ def parse_perm_file(text: str) -> tuple:
         raise ParseError(f"bad degree {parts[1]!r}", lineno) from None
     if n < 1:
         raise ParseError(f"degree must be positive, got {n}", lineno)
+    return n, lines[1:]
+
+
+def parse_perm_file(text: str) -> tuple:
+    """Parse a PERM file into ``(degree, [Permutation, ...])``.  A degree
+    whose n-point table would pass the table bound raises
+    :class:`CapExceeded` before any line is expanded to its n images."""
+    from .constructors import _check_table
+
+    n, lines = _perm_lines(text)
+    _check_table(f"PERM input of degree {n}", n)
     perms = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         try:
             perms.append(Permutation.parse(line, n))
         except ParseError as exc:
@@ -454,7 +465,8 @@ def parse_perm_file(text: str) -> tuple:
 
 def parse_rack_file(text: str) -> RackTable:
     """Dispatch on the header: RTBL is read directly, PERM rows become the
-    translation maps of the table."""
+    translation maps of the table.  Both formats check the row count against
+    the header before reading any row."""
     for _, line in _content_lines(text):
         head = line.split()[0]
         break
@@ -463,9 +475,9 @@ def parse_rack_file(text: str) -> RackTable:
     if head == "rtbl":
         return parse_rtbl(text)
     if head == "perm":
-        degree, perms = parse_perm_file(text)
-        if len(perms) != degree:
+        degree, lines = _perm_lines(text)
+        if len(lines) != degree:
             raise ParseError(
-                f"PERM rack input needs {degree} permutations, found {len(perms)}")
-        return RackTable.from_permutation_rows(perms)
+                f"PERM rack input needs {degree} permutations, found {len(lines)}")
+        return RackTable.from_permutation_rows(parse_perm_file(text)[1])
     raise ParseError(f"unknown format header {head!r}")

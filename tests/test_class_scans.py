@@ -205,3 +205,13 @@ def test_profile_harness_wiring(capsys, monkeypatch, rows, message):
     code, out, err = _run(capsys, ["scan", "--sym", "4"])
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_degree_8_classes_need_at_most_8_generators():
+    # a class element joins only when it lies outside the closure of the
+    # generators before it, so a disconnected class stops short of trying
+    # every element outside one orbit
+    for parts in _noncentral(8):
+        cls = symmetric_class(8, parts)
+        generators = _conjugation_action(cls)[2]
+        assert len(generators) <= 8, parts

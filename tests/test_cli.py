@@ -321,6 +321,76 @@ def test_class_table_bound_exits_3_before_listing(capsys, monkeypatch,
                    "the table bound 33554432\n")
 
 
+def _table_bound_line(stage, size, bound=33554432):
+    return (f"quandlekit: resource limit: {stage}: table of {size}^2 = "
+            f"{size * size} entries exceeds the table bound {bound}\n")
+
+
+def _no_permutation_parsed(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a permutation line was expanded")
+
+    monkeypatch.setattr(Permutation, "parse", forbidden)
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_perm_rack_line_count_is_checked_before_any_line(capsys, tmp_path,
+                                                         monkeypatch, command):
+    path = tmp_path / "huge.perm"
+    path.write_text("perm 1000000000\n(1,2)\n")
+    _no_permutation_parsed(monkeypatch)
+    assert run(capsys, command, str(path)) == (
+        64, "", "quandlekit: PERM rack input needs 1000000000 permutations, "
+                "found 1\n")
+
+
+def test_perm_degree_past_the_table_bound_exits_3_unexpanded(
+        capsys, tmp_path, monkeypatch):
+    # a PERM rack of degree n is an n^2 table; 5792^2 fits 2^25, 5793^2 does not
+    rack = tmp_path / "rack.perm"
+    rack.write_text("perm 5793\n" + "()\n" * 5793)
+    group = tmp_path / "group.perm"
+    group.write_text("perm 1000000000\n(1,2)\n")
+    with monkeypatch.context() as patched:
+        _no_permutation_parsed(patched)
+        assert run(capsys, "validate", str(rack)) == (
+            3, "", _table_bound_line("PERM input of degree 5793", 5793))
+        spec = f"homog group={group} sub=1 alpha=conj:()"
+        assert run(capsys, "construct", spec) == (
+            3, "", _table_bound_line("PERM input of degree 1000000000",
+                                     1000000000))
+    group.write_text("perm 5792\n(1,2)\n")
+    code, out, err = run(capsys, "construct",
+                         f"homog group={group} sub=1 alpha=conj:()")
+    assert (code, out.splitlines()[-2:], err) == (0, ["rtbl 1", "1"], "")
+
+
+@pytest.mark.parametrize("orders,size", [
+    ("100003", 100003), ("100003,100003", 10000600009)])
+def test_affine_table_bound_exits_3_before_listing(capsys, orders, size):
+    assert run(capsys, "construct", f"affine orders={orders} alpha=2") == (
+        3, "", _table_bound_line(f"affine quandle of orders {orders}", size))
+
+
+def test_affine_and_homog_tables_are_sized_from_the_spec(capsys, tmp_path,
+                                                         monkeypatch):
+    from quandlekit import constructors
+
+    group = tmp_path / "s3.perm"
+    group.write_text("perm 3\n(1,2)\n(1,2,3)\n")
+    homog = f"homog group={group} sub= alpha=conj:()"
+    # Z_5 has 5 points, S3 over the trivial subgroup 6 cosets
+    for spec, size, stage in [
+            ("affine orders=5 alpha=2", 5, "affine quandle of orders 5"),
+            (homog, 6, "homogeneous quandle of |G|=6, |H|=1")]:
+        monkeypatch.setattr(constructors, "TABLE_BOUND", size * size)
+        code, out, err = run(capsys, "construct", spec)
+        assert (code, f"rtbl {size}" in out, err) == (0, True, "")
+        monkeypatch.setattr(constructors, "TABLE_BOUND", size * size - 1)
+        assert run(capsys, "construct", spec) == (
+            3, "", _table_bound_line(stage, size, size * size - 1))
+
+
 @pytest.mark.parametrize("spec", ["conj d=x type=1", "affine orders=5 alpha=x"])
 def test_construct_non_integer_exit_code(capsys, spec):
     code, out, err = run(capsys, "construct", spec)

@@ -166,6 +166,29 @@ def test_class_splitting_in_a4():
     assert len(A.conjugacy_class(cyc(4, (1, 2, 3)))) == 4
 
 
+def _conjugation_bfs(G, p):
+    """The class of p by breadth-first search over ``Permutation.conj``."""
+    queue, seen = [p], {p}
+    for e in queue:
+        for g in G.generators:
+            w = g.conj(e)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return queue
+
+
+@pytest.mark.parametrize("degree", range(2, 7))
+def test_conjugacy_class_order_is_the_conjugation_bfs(degree):
+    groups = [symmetric_group(degree), alternating_group(degree),
+              PermutationGroup(degree, [cyc(degree, (1, 2)),
+                                        cyc(degree, tuple(range(degree, 0, -1)))])]
+    for G in groups:
+        for parts in all_partitions(degree):
+            rep = canonical_of_cycle_type(degree, parts)
+            assert G.conjugacy_class(rep) == _conjugation_bfs(G, rep), parts
+
+
 # -- blocks -----------------------------------------------------------------------
 
 

@@ -61,6 +61,11 @@ def _invocations():
     for mode in ("--sym", "--alt"):
         out += [(f"scan {mode} {d}", ["scan", mode, str(d)])
                 for d in range(1, 8)]
+    # the degree-8 scans, past the default scan bound
+    for mode in ("--sym", "--alt"):
+        for extra in ([], ["--json"]):
+            argv = ["scan", mode, "8", "--bound", "8", *extra]
+            out.append((" ".join(argv), argv))
     # the 999! 1000-cycles pass the cap: exit 3 before the class is listed
     out.append(("--cap 1000 construct conj d=1000 type=1000",
                 ["--cap", "1000", "construct", "conj d=1000 type=1000"]))
@@ -134,6 +139,8 @@ PINS = {
     "scan --alt 5": (0, "f73351671372be396c4d2eb1abef5bd2f824a79749fdc1dfbab7ebc5a273a419"),
     "scan --alt 6": (0, "c4da0d7a3283c7284d986f5316f2ea7967f88b85f5e4e5cf86d3b0fbf7b32247"),
     "scan --alt 7": (0, "88f7aa657284e1cd5a47cbb9e8a3b4a5437264f02d010d25c9f954d4bdaea935"),
+    "scan --alt 8 --bound 8": (0, "340a9d6d49fe05dd0bb82ae96802be451a897d32c1cd04d90ea0947ef744748c"),
+    "scan --alt 8 --bound 8 --json": (0, "823f019a5dfc887cc91d8984480173f0fcd624a8f95b42bb551ce3ab5c945b6f"),
     "scan --enumerate 1": (0, "949b074a29b3e989cdf7e8b4c6cce9dd903b377dd631944096ecadca5171e961"),
     "scan --enumerate 1 --racks": (0, "375ea04b62f8d2e8150e9a78ce359f5515e4effc6eb054d8a09172a1e713bc8b"),
     "scan --enumerate 2": (0, "f7555db03e21a12ea5282bfc4dde4bbb108b2e99fb63e70f6aa59c35d3e0bad6"),
@@ -152,6 +159,8 @@ PINS = {
     "scan --sym 5": (0, "5f72cb09ed14aaa1037e5f7a57c9574adad7b8c47ecb0cb74b7dcbe29068429e"),
     "scan --sym 6": (0, "a4db707eeadbd1eb8fba9a32f7cabbe3d2f8628dc4f31195625c758653e1e391"),
     "scan --sym 7": (0, "7c299989721c0b3f365a06d0304eb8400bf96bb9fe886e407f38361c3e39cb91"),
+    "scan --sym 8 --bound 8": (0, "38ddfc2fe1c235831af9a2e4ea6796278ac0b206e29600fd51188b532bda1142"),
+    "scan --sym 8 --bound 8 --json": (0, "b26e55e81123665ee0935f4afe2e02d65c15c8e6b7b2f11ac90b6b9354b6d74a"),
 }
 
 

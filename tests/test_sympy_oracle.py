@@ -12,11 +12,14 @@ from quandlekit.constructors import (
     _class_inner_order,
     _conjugation_action,
     _splits_in_alternating,
+    alternating_class_scan,
     rack_from_conjugation_closed,
+    symmetric_class_scan,
 )
 from quandlekit.perm import (
     all_partitions,
     canonical_of_cycle_type,
+    symmetric_class,
     symmetric_class_size,
 )
 
@@ -91,3 +94,59 @@ def test_split_half_inner_orders_match_sympy(d):
         G = SympyGroup([_sympy_perm(p.images) for p in X.distinct_translations()])
         generators = _conjugation_action(half)[2]
         assert _class_inner_order(generators) == G.order(), (parts, split)
+
+
+def _orbit_size(G, rep):
+    return G.order() // G.centralizer(rep).order()
+
+
+@pytest.mark.parametrize("alt", [False, True], ids=["sym", "alt"])
+def test_degree_8_scans_match_sympy(alt):
+    # The class of rep generates the normal closure N of rep, and its
+    # quandle is connected when N is transitive on the class: in S8, when
+    # the class is odd (N = S8) or even and not split in A8 (N = A8).
+    S, A = SymmetricGroup(8), AlternatingGroup(8)
+    G = A if alt else S
+    expected = []
+    for parts in all_partitions(8)[:-1]:
+        rep = _sympy_perm(canonical_of_cycle_type(8, parts).images)
+        if alt and rep.is_odd:
+            continue
+        size = _orbit_size(G, rep)
+        split = rep.is_even and 2 * _orbit_size(A, rep) == _orbit_size(S, rep)
+        connected = _orbit_size(G.normal_closure(rep), rep) == size
+        if not alt:
+            assert connected == (rep.is_odd or not split), parts
+        expected += [(parts, size, connected)] * (2 if alt and split else 1)
+    scan = alternating_class_scan if alt else symmetric_class_scan
+    assert [(r.parts, r.class_size, r.connected)
+            for r in scan(8, bound=8)] == expected
+
+
+def test_degree_8_generators_generate_the_normal_closure():
+    S = SymmetricGroup(8)
+    for parts in all_partitions(8)[:-1]:
+        cls = symmetric_class(8, parts)
+        generators = _conjugation_action(cls)[2]
+        spanned = SympyGroup([_sympy_perm(g.images) for g in generators])
+        closure = S.normal_closure(_sympy_perm(cls[0].images))
+        assert spanned.order() == closure.order(), parts
+
+
+def test_block_witness_cell_sizes_match_sympy(racks_with_sympy_groups):
+    # The witness is a system of the smallest nontrivial blocks, and such a
+    # system is among sympy's minimal block systems.
+    imprimitive = 0
+    for name, X, G in racks_with_sympy_groups:
+        if not G.is_transitive():
+            continue
+        witness = inner_action_primitivity(X).witness_blocks
+        sizes = {X.n // len(set(system))
+                 for system in G.minimal_blocks()} - {X.n}
+        if witness is None:
+            assert not sizes, name
+            continue
+        imprimitive += 1
+        assert {len(cell) for cell in witness} == {min(sizes)}, name
+        assert len(witness) * min(sizes) == X.n, name
+    assert imprimitive > 0
