@@ -33,8 +33,9 @@ from .errors import (
     QuandlekitError,
     TheoremViolation,
 )
-from .perm import DEFAULT_CAP, Permutation, canonical_of_cycle_type
-from .racktable import RackTable, emit_rtbl, parse_rack_file
+from .perm import (DEFAULT_CAP, Permutation, PermutationGroup,
+                   canonical_of_cycle_type)
+from .racktable import RackTable, emit_rtbl, parse_perm_file, parse_rack_file
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -240,9 +241,6 @@ def construct_from_spec(spec: str, cap: int = DEFAULT_CAP):
         return result.rack, comment
     if kind == "homog":
         _require_keys(kind, pairs, ["group", "sub", "alpha"])
-        from .perm import PermutationGroup
-        from .racktable import parse_perm_file
-
         degree, gens = parse_perm_file(_read_text(pairs["group"]))
         group = PermutationGroup(degree, gens, cap=cap)
         sub_idx = _ints(pairs["sub"])
@@ -257,6 +255,8 @@ def construct_from_spec(spec: str, cap: int = DEFAULT_CAP):
         conjugator = Permutation.parse(alpha_txt[len("conj:"):], degree)
         if conjugator not in group:
             raise ParseError("alpha conjugator does not lie in the group")
+        # size the coset space before alpha is mapped over the whole group
+        constructors._sized_subgroup(group, subgens)
         try:
             hspec = constructors.make_homogeneous_spec(
                 group, subgens,

@@ -27,6 +27,7 @@ from .perm import (
     all_partitions,
     alternating_group,
     canonical_of_cycle_type,
+    generating_points,
     orbit_partition,
     symmetric_class,
     symmetric_class_size,
@@ -112,23 +113,16 @@ def conjugacy_class_quandle(G: PermutationGroup, g: Permutation) -> ClassQuandle
     return ClassQuandle(rack, labels, G.degree)
 
 
-def _sized_symmetric_class(d: int, parts: Sequence[int], cap: int) -> list:
-    """The listed class of cycle type ``parts`` in degree d.  The class size
-    is computed first, so a class over ``cap``, or one whose table would pass
-    TABLE_BOUND, raises :class:`CapExceeded` without being listed; the cap
-    is checked first."""
-    _check_table(f"class quandle of cycle type {CycleType.from_lengths(parts)} "
-                 f"in degree {d}", symmetric_class_size(parts, cap))
-    return symmetric_class(d, parts, cap)
-
-
 def symmetric_class_quandle(d: int, parts: Sequence[int],
                             cap: int = DEFAULT_CAP) -> ClassQuandle:
     """The quandle of the class of cycle type ``parts`` in the symmetric
-    group of degree d, sized against ``cap`` and TABLE_BOUND before it is
-    listed."""
+    group of degree d.  The class size is computed first, so a class over
+    ``cap``, or one whose table would pass TABLE_BOUND, raises
+    :class:`CapExceeded` without being listed; the cap is checked first."""
+    _check_table(f"class quandle of cycle type {CycleType.from_lengths(parts)} "
+                 f"in degree {d}", symmetric_class_size(parts, cap))
     return ClassQuandle(
-        *rack_from_conjugation_closed(_sized_symmetric_class(d, parts, cap)), d)
+        *rack_from_conjugation_closed(symmetric_class(d, parts, cap)), d)
 
 
 # -- homogeneous quandles ----------------------------------------------------------
@@ -177,6 +171,18 @@ def make_homogeneous_spec(group: PermutationGroup,
     return HomogeneousSpec(group, subgens, amap)
 
 
+def _sized_subgroup(G: PermutationGroup,
+                    subgroup_generators: Iterable[Permutation]) -> frozenset:
+    """The elements of the subgroup H of G that ``subgroup_generators``
+    generate; a coset space G/H whose table would pass TABLE_BOUND raises
+    :class:`CapExceeded`."""
+    hset = PermutationGroup(G.degree, subgroup_generators,
+                            cap=G.cap).element_set()
+    _check_table(f"homogeneous quandle of |G|={G.order()}, |H|={len(hset)}",
+                 G.order() // len(hset))
+    return hset
+
+
 def homogeneous_quandle(spec: HomogeneousSpec) -> RackTable:
     """Coset-space quandle: xH ▷ yH = x·alpha(x^-1 y)·H.
 
@@ -184,10 +190,7 @@ def homogeneous_quandle(spec: HomogeneousSpec) -> RackTable:
     group elements.  The construction always yields a quandle.
     """
     G = spec.group
-    sub = PermutationGroup(G.degree, spec.subgroup_generators, cap=G.cap)
-    hset = sub.element_set()
-    _check_table(f"homogeneous quandle of |G|={G.order()}, |H|={len(hset)}",
-                 G.order() // len(hset))
+    hset = _sized_subgroup(G, spec.subgroup_generators)
     rep_of: Dict[Permutation, Permutation] = {}
     reps = []
     # in increasing order, the first element met of each coset is its least
@@ -501,12 +504,10 @@ def _conjugation_action(cls: Sequence[Permutation]) -> tuple:
     translation by x is conjugation by x on the class, and no operation
     table is built.
 
-    Conjugation by a generator is formed once, as an index row over the
-    class.  Class elements join the generators in listing order, skipping
-    any element in the orbit of a generator under the rows so far: such an
-    element is a conjugate of a generator by the group they span, so it
-    adds nothing to that group.  The quandle is connected when the rows
-    have one orbit, and its profile is their common cycle type.
+    Generators are chosen by :func:`generating_points`, which forms
+    conjugation by a class element, as an index row over the class, only
+    when that element joins the generators.  The quandle is connected when
+    their rows have one orbit, and its profile is their common cycle type.
 
     Returns ``(connected, profile or None, generators)``, the generators
     being class elements that generate the same group as the class.
@@ -516,17 +517,15 @@ def _conjugation_action(cls: Sequence[Permutation]) -> tuple:
     index = {e: i for i, e in enumerate(elems)}
     # compose[i](c) is c·e_i (itemgetter(*a)(b) lists b[a[0]], b[a[1]], ...)
     compose = [itemgetter(*e) for e in elems]
-    taken, rows, known = [], [], set()
-    for k, c in enumerate(elems):
-        if k in known:
-            continue
+
+    def row_of(k: int) -> tuple:
         undo = itemgetter(*cls[k].inverse().images)  # c·e_i -> c·e_i·c⁻¹
-        taken.append(k)
-        rows.append(tuple([index[undo(get(c))] for get in compose]))
-        orbits = orbit_partition(n, rows)
-        known = set().union(*(o for o in orbits if not o.isdisjoint(taken)))
+        c = elems[k]
+        return tuple([index[undo(get(c))] for get in compose])
+
+    taken, rows = generating_points(n, row_of)
     generators = [cls[k] for k in taken]
-    if len(orbits) > 1:
+    if len(orbit_partition(n, rows)) > 1:
         return False, None, generators
     types = {_unchecked(row).cycle_type() for row in rows}
     if len(types) != 1:
@@ -583,13 +582,12 @@ def symmetric_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
                          cap: int = DEFAULT_CAP) -> list:
     """One record per noncentral conjugacy class of the symmetric group of
     degree d (i.e. every class except the identity's).  Each class is sized
-    against ``cap`` and TABLE_BOUND before it is listed, as for
-    :func:`symmetric_class_quandle`, but no table is built."""
+    against ``cap`` before it is listed, and no table is built."""
     if d > bound:
         raise BoundExceeded(f"class scan bound is {bound}, requested {d}")
     if d < 1:
         raise ValueError("degree must be positive")
-    return [_class_scan_record(_sized_symmetric_class(d, parts, cap), parts)
+    return [_class_scan_record(symmetric_class(d, parts, cap), parts)
             for parts in all_partitions(d) if any(p != 1 for p in parts)]
 
 
@@ -609,9 +607,8 @@ def alternating_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
     For split classes the trivial-intersection witness is verified up to
     degree 6, on tables of at most 72 points.  From degree 7 on
     ``split_witness_ok`` is None, which ``scan --alt`` prints as
-    ``split_witness=None``.  Each class, or each half of a split one, is
-    sized from the criterion against ``cap`` and TABLE_BOUND before it is
-    listed.
+    ``split_witness=None``.  Each symmetric-group class is sized against
+    ``cap`` before its part in the alternating group is listed.
     """
     if d > bound:
         raise BoundExceeded(f"class scan bound is {bound}, requested {d}")
@@ -627,8 +624,6 @@ def alternating_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
             continue
         sym_class_size = symmetric_class_size(parts, cap)
         split = _splits_in_alternating(parts)
-        _check_table(f"conjugation rack in degree {d}",
-                     sym_class_size // 2 if split else sym_class_size)
         alt_class = A.conjugacy_class(rep)
         if (len(alt_class) != sym_class_size) != split:
             raise TheoremViolation(

@@ -14,7 +14,7 @@ import math
 import re
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import _kernels
 from .errors import CapExceeded, DegreeMismatch, NotTransitive, ParseError
@@ -218,6 +218,33 @@ def orbit_partition(degree: int, rows: Sequence[Sequence[int]]) -> list:
                     orbit.append(q)
         out.append(frozenset(orbit))
     return out
+
+
+def generating_points(n: int, row_of: Callable[[int], Sequence[int]]) -> tuple:
+    """The greedy ▷-closure over translation rows, ``row_of(x)`` being the
+    image row of y -> x ▷ y on ``0..n-1``: scanning in increasing order, a
+    point is kept when it lies outside the orbit of the kept points under
+    their rows.  That orbit is their ▷-closure, as φ_{x▷y} = φ_x φ_y φ_x⁻¹
+    and a finite translation's inverse is one of its powers.  n·|S| row
+    lookups for |S| kept points; returns ``(kept, rows of the kept)``."""
+    inside = [False] * n
+    members, kept, rows = [], [], []  # members: the closure so far
+    for p in range(n):
+        if inside[p]:
+            continue
+        kept.append(p)
+        rows.append(row_of(p))
+        inside[p] = True
+        earlier = len(members)
+        members.append(p)
+        # the new row on each earlier member, every row on each new one
+        for i, m in enumerate(members):  # grows as it is read
+            for row in rows[-1:] if i < earlier else rows:
+                q = row[m]
+                if not inside[q]:
+                    inside[q] = True
+                    members.append(q)
+    return tuple(kept), rows
 
 
 class CycleType:

@@ -26,7 +26,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import _kernels
 from .errors import DegreeMismatch, NotARack, ParseError
-from .perm import CycleType, Permutation, _unchecked, orbit_partition
+from .perm import (CycleType, Permutation, _unchecked, generating_points,
+                   orbit_partition)
 
 
 class AxiomWitness(NamedTuple):
@@ -190,36 +191,13 @@ class RackTable:
         return self._cycle_types
 
     def generating_set(self) -> tuple:
-        """Points generating the table under ▷, chosen greedily: scanning
-        in increasing order, a point is kept when it lies outside the
-        ▷-closure of the points kept before it.  Since
-        φ_{x▷y} = φ_x φ_y φ_x⁻¹, the translations of the kept points
-        generate the inner group.  O(n²) table lookups, once per table."""
+        """Points generating the table under ▷, chosen greedily by
+        :func:`~quandlekit.perm.generating_points`; the translations of
+        the kept points generate the inner group."""
         self._require_rack()
         if self._generators is None:
-            table = self.table
-            inside = [False] * self.n
-            members = []  # the closure so far, in order of arrival
-            done = 0      # members[:done] have met every earlier member
-            kept = []
-            for p in range(self.n):
-                if inside[p]:
-                    continue
-                kept.append(p)
-                inside[p] = True
-                members.append(p)
-                # a finite rack's closure under ▷ is closed under its
-                # inverse too, as each translation has finite order
-                while done < len(members):
-                    q = members[done]
-                    done += 1
-                    row = table[q]
-                    for a in members[:done]:
-                        for r in (row[a], table[a][q]):
-                            if not inside[r]:
-                                inside[r] = True
-                                members.append(r)
-            self._generators = tuple(kept)
+            self._generators = generating_points(
+                self.n, self.table.__getitem__)[0]
         return self._generators
 
     def inner_orbit_partition(self) -> list:

@@ -33,6 +33,7 @@ from quandlekit.perm import (
     _unchecked,
     alternating_group,
     canonical_of_cycle_type,
+    orbit_partition,
     symmetric_class,
 )
 
@@ -205,6 +206,31 @@ def test_profile_harness_wiring(capsys, monkeypatch, rows, message):
     code, out, err = _run(capsys, ["scan", "--sym", "4"])
     assert (code, out) == (2, "")
     assert message in err
+
+
+def _generators_oracle(cls):
+    """The generators of the loop that generating_points replaced: a class
+    element joins unless it lies in an orbit, under the conjugations by the
+    generators so far, that meets a generator; the orbits are recomputed
+    after each generator joins."""
+    index = {p: i for i, p in enumerate(cls)}
+    taken, rows, known = [], [], set()
+    for k, p in enumerate(cls):
+        if k in known:
+            continue
+        taken.append(k)
+        rows.append([index[p.conj(q)] for q in cls])
+        orbits = orbit_partition(len(cls), rows)
+        known = set().union(*(o for o in orbits if not o.isdisjoint(taken)))
+    return [cls[k] for k in taken]
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_generators_match_the_orbit_loop(d):
+    classes = [symmetric_class(d, parts) for parts in _noncentral(d)]
+    classes += [half for _, _, half in _alternating_halves(d)]
+    for cls in classes:
+        assert _conjugation_action(cls)[2] == _generators_oracle(cls), cls[0]
 
 
 def test_degree_8_classes_need_at_most_8_generators():

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: formats, determinism, exit codes."""
+import hashlib
 import json
 
 import pytest
@@ -299,13 +300,7 @@ def test_construct_conj_checks_the_class_size_before_listing(capsys,
      "class quandle of cycle type 9^1 in degree 9", 40320),
     (["construct", "conj d=1000 type=2" + ",1" * 998],
      "class quandle of cycle type 1^998 2^1 in degree 1000", 499500),
-    (["scan", "--sym", "9", "--bound", "9"],
-     "class quandle of cycle type 9^1 in degree 9", 40320),
-    # the 9-cycles split in A9: each half is sized from the split criterion
-    (["scan", "--alt", "9", "--bound", "9"],
-     "conjugation rack in degree 9", 20160),
-], ids=["conj-9-cycles", "conj-s1000-transpositions", "scan-sym-9",
-        "scan-alt-9"])
+], ids=["conj-9-cycles", "conj-s1000-transpositions"])
 def test_class_table_bound_exits_3_before_listing(capsys, monkeypatch,
                                                   argv, stage, size):
     def forbidden(*args, **kwargs):
@@ -319,6 +314,33 @@ def test_class_table_bound_exits_3_before_listing(capsys, monkeypatch,
     assert err == (f"quandlekit: resource limit: {stage}: table of "
                    f"{size}^2 = {size * size} entries exceeds "
                    "the table bound 33554432\n")
+
+
+@pytest.mark.parametrize("argv", [["scan", "--sym", "6"],
+                                  ["scan", "--alt", "7"]],
+                         ids=["sym-6", "alt-7"])
+def test_class_scans_read_no_table_bound(capsys, monkeypatch, argv):
+    # a scan builds no table (scan --alt 6 builds the split halves' tables
+    # for their witness, so degree 7 is the alternating case)
+    from quandlekit import constructors
+    from test_output_pins import PINS
+
+    monkeypatch.setattr(constructors, "TABLE_BOUND", 0)
+    code, out, err = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (
+        *PINS[" ".join(argv)], "")
+
+
+def test_degree_9_scan_checks_the_cap_before_listing(capsys, monkeypatch):
+    # the 9-cycles, the first class scanned, number 40320
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the class was listed")
+
+    monkeypatch.setattr(PermutationGroup, "conjugacy_class", forbidden)
+    assert run(capsys, "--cap", "40000", "scan", "--sym", "9",
+               "--bound", "9") == (
+        3, "", "quandlekit: resource limit: conjugacy class exceeds cap "
+               "40000\n")
 
 
 def _table_bound_line(stage, size, bound=33554432):
@@ -389,6 +411,22 @@ def test_affine_and_homog_tables_are_sized_from_the_spec(capsys, tmp_path,
         monkeypatch.setattr(constructors, "TABLE_BOUND", size * size - 1)
         assert run(capsys, "construct", spec) == (
             3, "", _table_bound_line(stage, size, size * size - 1))
+
+
+def test_homog_cosets_are_sized_before_alpha_is_mapped(capsys, tmp_path,
+                                                      monkeypatch):
+    # S8 over the trivial subgroup: 40320 cosets pass the table bound
+    group = tmp_path / "s8.perm"
+    group.write_text("perm 8\n(1,2)\n(1,2,3,4,5,6,7,8)\n")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("alpha was mapped")
+
+    monkeypatch.setattr(Permutation, "conj", forbidden)
+    assert run(capsys, "construct",
+               f"homog group={group} sub= alpha=conj:()") == (
+        3, "", _table_bound_line("homogeneous quandle of |G|=40320, |H|=1",
+                                 40320))
 
 
 @pytest.mark.parametrize("spec", ["conj d=x type=1", "affine orders=5 alpha=x"])

@@ -1,8 +1,9 @@
 """Boundary fuzz of the command line: every run ends with a documented exit
 code (0, 1, 2, 3 or 64) and no exception escapes ``main``.
 
-Specs are drawn from the ``construct`` grammar, and input files are small
-RTBL and PERM files with mutated tokens, lines and headers.  Everything
+Specs are drawn from the ``construct`` grammar, input files are small RTBL
+and PERM files with mutated tokens, lines and headers, and scans are of
+degree or order at most 6, some with an ``--out`` path.  Everything
 that would be built is sized from its spec or header first: orders,
 degrees and row counts stay small, and a header that names a large size
 has too few rows for it, so nothing large is built.
@@ -22,13 +23,20 @@ FUZZ = settings(max_examples=120, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
-def _exit_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()), \
+def _run(argv):
+    """The exit code and stdout of one run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:  # argparse usage errors
-            return exc.code
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _exit_code(argv):
+    return _run(argv)[0]
 
 
 def _cap():
@@ -176,3 +184,40 @@ def test_input_files_end_with_an_exit_code(tmp_path_factory, data):
     flags = data.draw(st.sampled_from([[], ["--json"]]))
     argv = [*data.draw(_cap()), command, str(path), *flags]
     assert _exit_code(argv) in EXIT_CODES, (argv, path.read_text())
+
+
+# -- scans and output paths ----------------------------------------------------------
+
+
+@st.composite
+def _scan_argv(draw):
+    mode = draw(st.sampled_from(["--sym", "--alt", "--enumerate"]))
+    argv = ["scan", mode, str(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        argv += ["--bound", str(draw(st.integers(1, 8)))]
+    if draw(st.integers(0, 3)) == 3:
+        argv.append("--racks")  # a usage error without --enumerate
+    if draw(st.booleans()):
+        argv.append("--json")
+    return [*draw(_cap()), *argv]
+
+
+@FUZZ
+@given(data=st.data())
+def test_scans_and_out_paths_end_with_an_exit_code(tmp_path_factory, data):
+    argv = data.draw(_scan_argv())
+    code, out = _run(argv)
+    assert code in EXIT_CODES, argv
+    root = tmp_path_factory.mktemp("out")
+    where = data.draw(st.sampled_from(["file", "directory", "missing parent"]))
+    path = {"file": root / "scan.txt", "directory": root,
+            "missing parent": root / "missing" / "scan.txt"}[where]
+    out_code, out_text = _run(["--out", str(path), *argv])
+    assert out_text == "", argv
+    if where != "file":
+        # the output cannot be written: a run that gets that far is a usage error
+        assert out_code == (64 if code in (0, 1) else code), (where, argv)
+    elif code in (0, 1):
+        assert (out_code, path.read_text()) == (code, out), argv
+    else:
+        assert (out_code, path.exists()) == (code, False), argv

@@ -26,7 +26,8 @@ from quandlekit import (
 )
 from quandlekit.analysis import KTildeDiagnostic, _inner_action
 from quandlekit.constructors import rack_from_conjugation_closed
-from quandlekit.perm import all_partitions, canonical_of_cycle_type
+from quandlekit.perm import (all_partitions, canonical_of_cycle_type,
+                             generating_points)
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -141,6 +142,33 @@ def test_generating_set_of_the_catalog(catalog):
     for name, X in catalog:
         assert_generating_set(X, name)
         assert_same_group(X, name)
+
+
+class CountedRow:
+    """A table row that records each lookup in ``lookups``."""
+
+    def __init__(self, row, lookups):
+        self.row, self.lookups = row, lookups
+
+    def __getitem__(self, y):
+        self.lookups.append(y)
+        return self.row[y]
+
+
+def test_generating_points_read_each_row_once_per_point(catalog):
+    # each kept point's row is formed once, and applied once to each point
+    for name, X in [*catalog, *class_unions(4)]:
+        formed, lookups = [], []
+
+        def row_of(x):
+            formed.append(x)
+            return CountedRow(X.table[x], lookups)
+
+        kept, rows = generating_points(X.n, row_of)
+        assert kept == X.generating_set() == greedy_oracle(X), name
+        assert formed == list(kept), name
+        assert [r.row for r in rows] == [X.table[x] for x in kept], name
+        assert len(lookups) == X.n * len(kept), name
 
 
 def test_generating_set_sizes_of_known_racks(golden):

@@ -100,16 +100,17 @@ def _orbit_size(G, rep):
     return G.order() // G.centralizer(rep).order()
 
 
-@pytest.mark.parametrize("alt", [False, True], ids=["sym", "alt"])
-def test_degree_8_scans_match_sympy(alt):
+@pytest.mark.parametrize("alt,d", [(False, 8), (True, 8), (False, 9), (True, 9)],
+                         ids=["sym", "alt", "sym-9", "alt-9"])
+def test_degree_8_scans_match_sympy(alt, d):
     # The class of rep generates the normal closure N of rep, and its
-    # quandle is connected when N is transitive on the class: in S8, when
-    # the class is odd (N = S8) or even and not split in A8 (N = A8).
-    S, A = SymmetricGroup(8), AlternatingGroup(8)
+    # quandle is connected when N is transitive on the class: in S_d, when
+    # the class is odd (N = S_d) or even and not split in A_d (N = A_d).
+    S, A = SymmetricGroup(d), AlternatingGroup(d)
     G = A if alt else S
     expected = []
-    for parts in all_partitions(8)[:-1]:
-        rep = _sympy_perm(canonical_of_cycle_type(8, parts).images)
+    for parts in all_partitions(d)[:-1]:
+        rep = _sympy_perm(canonical_of_cycle_type(d, parts).images)
         if alt and rep.is_odd:
             continue
         size = _orbit_size(G, rep)
@@ -120,17 +121,25 @@ def test_degree_8_scans_match_sympy(alt):
         expected += [(parts, size, connected)] * (2 if alt and split else 1)
     scan = alternating_class_scan if alt else symmetric_class_scan
     assert [(r.parts, r.class_size, r.connected)
-            for r in scan(8, bound=8)] == expected
+            for r in scan(d, bound=d)] == expected
 
 
-def test_degree_8_generators_generate_the_normal_closure():
-    S = SymmetricGroup(8)
-    for parts in all_partitions(8)[:-1]:
-        cls = symmetric_class(8, parts)
+def _assert_generators_generate_the_normal_closure(d):
+    S = SymmetricGroup(d)
+    for parts in all_partitions(d)[:-1]:
+        cls = symmetric_class(d, parts)
         generators = _conjugation_action(cls)[2]
         spanned = SympyGroup([_sympy_perm(g.images) for g in generators])
         closure = S.normal_closure(_sympy_perm(cls[0].images))
         assert spanned.order() == closure.order(), parts
+
+
+def test_degree_8_generators_generate_the_normal_closure():
+    _assert_generators_generate_the_normal_closure(8)
+
+
+def test_degree_9_generators_generate_the_normal_closure():
+    _assert_generators_generate_the_normal_closure(9)
 
 
 def test_block_witness_cell_sizes_match_sympy(racks_with_sympy_groups):
