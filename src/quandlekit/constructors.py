@@ -441,11 +441,11 @@ def _connected_table(table) -> bool:
 
 
 def _dedup_tables(racks: list) -> list:
-    keyed = sorted(racks, key=lambda r: (fingerprint(r), r.table))
+    keyed = sorted(((fingerprint(r), r) for r in racks),
+                   key=lambda fr: (fr[0], fr[1].table))
     kept: list = []
     by_fp: Dict[str, list] = {}
-    for r in keyed:
-        fp = fingerprint(r)
+    for fp, r in keyed:
         bucket = by_fp.setdefault(fp, [])
         if not any(is_isomorphic(r, other).found for other in bucket):
             bucket.append(r)

@@ -526,12 +526,15 @@ def symmetric_group(degree: int, cap: int = DEFAULT_CAP) -> PermutationGroup:
 
 
 def alternating_group(degree: int, cap: int = DEFAULT_CAP) -> PermutationGroup:
-    """The alternating group, generated by the 3-cycles (0,1,k)."""
+    """The alternating group, generated by (0,1,2) and the cycle through
+    0..degree-1 for odd degree, through 1..degree-1 for even degree (one
+    generator in degree 3, where the two coincide)."""
     if degree <= 2:
         return PermutationGroup(degree, [], cap=cap)
-    gens = [
-        Permutation.from_cycles(degree, [[0, 1, k]]) for k in range(2, degree)
-    ]
+    gens = [Permutation.from_cycles(degree, [[0, 1, 2]])]
+    if degree > 3:
+        start = 1 if degree % 2 == 0 else 0
+        gens.append(Permutation.from_cycles(degree, [list(range(start, degree))]))
     return PermutationGroup(degree, gens, cap=cap)
 
 

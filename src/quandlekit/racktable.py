@@ -273,12 +273,21 @@ def fingerprint(X: RackTable) -> str:
 
 
 def _isomorphism_search(X: RackTable, Y: RackTable) -> list:
-    """Backtracking search for a table isomorphism X -> Y.
+    """Backtracking search for a table isomorphism X -> Y that assigns only
+    the ▷-generating set S = ``X.generating_set()``.
 
-    Candidate images must share the source element's invariant (translation
-    cycle type, idempotence flag, inner orbit size); source elements are
-    processed smallest invariant class first.  Returns a list holding the
-    first isomorphism found, or an empty list when there is none.
+    S[0], S[1], ... go in turn to unused points of Y with the same invariant
+    (translation cycle type, idempotence flag, inner orbit size), tried in
+    increasing order.  Each choice is carried along the rows as
+    :func:`~quandlekit.perm.generating_points` closes S, with
+    f(t ▷ m) = f(t) ▷' f(m); a conflict, or a point of Y reached twice,
+    prunes it.  A completed f is then a bijection commuting with the
+    translations by S, and so with all of them: the x with
+    f φ_x f⁻¹ = φ'_{f(x)} include S and, with x and y, x ▷ y, as
+    φ_{x▷y} = φ_x φ_y φ_x⁻¹ in both racks.  No full-table check is needed.
+    Between equal tables each s in S is the least unused candidate, so the
+    identity is found first.  Returns a list holding the first isomorphism
+    found, or an empty list.
     """
     X._require_rack()
     Y._require_rack()
@@ -288,62 +297,45 @@ def _isomorphism_search(X: RackTable, Y: RackTable) -> list:
     sx, sy = _orbit_size_map(X), _orbit_size_map(Y)
     inv_x = [_element_invariant(X, x, sx) for x in range(n)]
     inv_y = [_element_invariant(Y, y, sy) for y in range(n)]
+    if sorted(inv_x) != sorted(inv_y):
+        return []
     classes_y = {}
     for y in range(n):
         classes_y.setdefault(inv_y[y], []).append(y)
-    classes_x = {}
-    for x in range(n):
-        classes_x.setdefault(inv_x[x], []).append(x)
-    if {k: len(v) for k, v in classes_x.items()} != {
-        k: len(v) for k, v in classes_y.items()
-    }:
-        return []
-
-    # assignment order: smallest invariant class first, then by point
-    order = sorted(range(n), key=lambda x: (len(classes_x[inv_x[x]]), x))
-    pos_of = {x: i for i, x in enumerate(order)}
-    # triples (a, b) with X.table[a][b] == w, for deferred checks
-    preimage = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            preimage[X.table[a][b]].append((a, b))
-
+    gens, tx, ty = X.generating_set(), X.table, Y.table
     f = [-1] * n
     used = [False] * n
-    solutions = []
+    mapped = []  # X-points in the order they were mapped
 
-    def consistent(x: int) -> bool:
-        assigned = order[: pos_of[x] + 1]
-        for a in assigned:
-            w = X.table[x][a]
-            if f[w] >= 0 and Y.table[f[x]][f[a]] != f[w]:
-                return False
-            w = X.table[a][x]
-            if f[w] >= 0 and Y.table[f[a]][f[x]] != f[w]:
-                return False
-        for a, b in preimage[x]:
-            if f[a] >= 0 and f[b] >= 0 and Y.table[f[a]][f[b]] != f[x]:
-                return False
+    def carry(k: int, y: int) -> bool:
+        # S[k] -> y, then the closure step of generating_points
+        earlier = len(mapped)
+        f[gens[k]], used[y] = y, True
+        mapped.append(gens[k])
+        for i, m in enumerate(mapped):  # grows as it is read
+            for t in gens[k:k + 1] if i < earlier else gens[:k + 1]:
+                q, r = tx[t][m], ty[f[t]][f[m]]
+                if f[q] < 0 and not used[r]:
+                    f[q], used[r] = r, True
+                    mapped.append(q)
+                elif f[q] != r:  # a conflict, or r is taken
+                    return False
         return True
 
-    def rec(i: int) -> bool:
-        if i == n:
-            solutions.append(_unchecked(tuple(f)))
+    def rec(k: int) -> bool:
+        if k == len(gens):
             return True
-        x = order[i]
-        for y in classes_y[inv_x[x]]:
-            if used[y]:
-                continue
-            f[x] = y
-            used[y] = True
-            if consistent(x) and rec(i + 1):
+        mark = len(mapped)
+        for y in classes_y[inv_x[gens[k]]]:
+            if not used[y] and carry(k, y) and rec(k + 1):
                 return True
-            f[x] = -1
-            used[y] = False
+            for q in mapped[mark:]:
+                used[f[q]] = False
+                f[q] = -1
+            del mapped[mark:]
         return False
 
-    rec(0)
-    return solutions
+    return [_unchecked(tuple(f))] if rec(0) else []
 
 
 def is_isomorphic(X: RackTable, Y: RackTable) -> IsoWitness:

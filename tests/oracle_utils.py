@@ -1,7 +1,8 @@
 """Brute-force oracles shared by the test modules.
 
-Deliberately simple: exhaustive enumeration over all set partitions, and a
-full scan of every product for homomorphisms.
+Deliberately simple: exhaustive enumeration over all set partitions, a
+full scan of every product for homomorphisms, and isomorphism searches that
+assign every point (all n! bijections, or point by point with pruning).
 """
 
 
@@ -33,3 +34,97 @@ def is_homomorphic_image(X, Y, f):
         for x in range(X.n)
         for y in range(X.n)
     )
+
+
+def brute_isomorphism(X, Y):
+    """The first bijection, in lexicographic order of its images, that maps
+    every product of X to the product of the images in Y; None if there is
+    none.  Tries all n! bijections, so it is meant for n <= 5."""
+    from itertools import permutations
+
+    if X.n != Y.n:
+        return None
+    n = X.n
+    for f in permutations(range(n)):
+        if all(f[X.table[x][y]] == Y.table[f[x]][f[y]]
+               for x in range(n) for y in range(n)):
+            return f
+    return None
+
+
+def point_by_point_isomorphism(X, Y):
+    """The isomorphism search that assigned every point in turn, kept as an
+    oracle for the search over the images of a ▷-generating set.
+
+    Candidate images must share the source element's invariant (translation
+    cycle type, idempotence flag, inner orbit size); source elements are
+    processed smallest invariant class first.  Returns a list holding the
+    first isomorphism found, or an empty list when there is none.
+    """
+    from quandlekit.perm import _unchecked
+    from quandlekit.racktable import _element_invariant, _orbit_size_map
+
+    X._require_rack()
+    Y._require_rack()
+    if X.n != Y.n:
+        return []
+    n = X.n
+    sx, sy = _orbit_size_map(X), _orbit_size_map(Y)
+    inv_x = [_element_invariant(X, x, sx) for x in range(n)]
+    inv_y = [_element_invariant(Y, y, sy) for y in range(n)]
+    classes_y = {}
+    for y in range(n):
+        classes_y.setdefault(inv_y[y], []).append(y)
+    classes_x = {}
+    for x in range(n):
+        classes_x.setdefault(inv_x[x], []).append(x)
+    if {k: len(v) for k, v in classes_x.items()} != {
+        k: len(v) for k, v in classes_y.items()
+    }:
+        return []
+
+    # assignment order: smallest invariant class first, then by point
+    order = sorted(range(n), key=lambda x: (len(classes_x[inv_x[x]]), x))
+    pos_of = {x: i for i, x in enumerate(order)}
+    # triples (a, b) with X.table[a][b] == w, for deferred checks
+    preimage = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            preimage[X.table[a][b]].append((a, b))
+
+    f = [-1] * n
+    used = [False] * n
+    solutions = []
+
+    def consistent(x: int) -> bool:
+        assigned = order[: pos_of[x] + 1]
+        for a in assigned:
+            w = X.table[x][a]
+            if f[w] >= 0 and Y.table[f[x]][f[a]] != f[w]:
+                return False
+            w = X.table[a][x]
+            if f[w] >= 0 and Y.table[f[a]][f[x]] != f[w]:
+                return False
+        for a, b in preimage[x]:
+            if f[a] >= 0 and f[b] >= 0 and Y.table[f[a]][f[b]] != f[x]:
+                return False
+        return True
+
+    def rec(i: int) -> bool:
+        if i == n:
+            solutions.append(_unchecked(tuple(f)))
+            return True
+        x = order[i]
+        for y in classes_y[inv_x[x]]:
+            if used[y]:
+                continue
+            f[x] = y
+            used[y] = True
+            if consistent(x) and rec(i + 1):
+                return True
+            f[x] = -1
+            used[y] = False
+        return False
+
+    rec(0)
+    return solutions

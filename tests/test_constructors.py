@@ -41,7 +41,7 @@ from quandlekit.perm import (
     symmetric_class,
     symmetric_class_size,
 )
-from quandlekit.racktable import validate
+from quandlekit.racktable import RackTable, validate
 
 
 def cyc(degree, *cycles):
@@ -519,6 +519,18 @@ def test_enumeration_is_deterministic():
     first = [q.table for q in enumerate_connected_quandles(5)]
     second = [q.table for q in enumerate_connected_quandles(5)]
     assert first == second
+
+
+def test_dedup_fingerprints_each_table_once(monkeypatch):
+    racks = [RackTable(t) for t in
+             constructors._search_connected_tables(6, False, 10**6)]
+    expected = [r.table for r in constructors._dedup_tables(racks)]
+    calls = []
+    fingerprint = constructors.fingerprint
+    monkeypatch.setattr(constructors, "fingerprint",
+                        lambda r: calls.append(r.table) or fingerprint(r))
+    assert [r.table for r in constructors._dedup_tables(racks)] == expected
+    assert sorted(calls) == sorted(r.table for r in racks)
 
 
 def test_enumeration_bound():

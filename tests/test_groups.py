@@ -74,6 +74,14 @@ def test_symmetric_and_alternating_orders():
     assert alternating_group(2).order() == 1
 
 
+@pytest.mark.parametrize("degree", range(3, 9))
+def test_alternating_group_has_two_even_generators(degree):
+    A = alternating_group(degree)
+    assert len(A.generators) <= 2
+    assert all(g.sign() == 1 for g in A.generators)
+    assert A.order() == math.factorial(degree) // 2
+
+
 # -- orbits ------------------------------------------------------------------
 
 

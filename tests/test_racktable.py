@@ -166,10 +166,8 @@ def test_different_sizes_are_not_isomorphic():
 
 def test_isomorphism_is_symmetric_on_catalog(catalog):
     for name, X in catalog:
-        if X.n > 8:
-            continue
         for other_name, Y in catalog:
-            if Y.n != X.n or Y.n > 8:
+            if Y.n != X.n:
                 continue
             assert is_isomorphic(X, Y).found == is_isomorphic(Y, X).found
 
