@@ -1,9 +1,9 @@
 """Build script: compiles the optional Cython kernel extension.
 
 The package is fully functional without the extension (a pure-Python
-backend is selected at import time), so any compilation problem downgrades
-to a pure install instead of failing.  Set QUANDLEKIT_NO_EXT=1 to skip the
-extension build entirely.
+backend is selected at import time).  Without Cython the extension is
+skipped and the install is pure; with Cython, a failed C compile fails the
+build.  Set QUANDLEKIT_NO_EXT=1 to skip the extension build entirely.
 """
 import os
 

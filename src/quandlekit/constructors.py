@@ -318,7 +318,7 @@ def affine_quandle(spec: AffineSpec) -> AffineResult:
 
 def _search_connected_tables(n: int, quandle_only: bool,
                              cap: int = DEFAULT_CAP) -> list:
-    """Backtracking over row tuples with conjugation-closure propagation.
+    """Backtracking over row tuples, closing each chosen row.
 
     Soundness of the restrictions, given that only connected results are
     kept: all rows of a connected rack share one cycle type, so the
@@ -332,8 +332,8 @@ def _search_connected_tables(n: int, quandle_only: bool,
     A row is a candidate for x only when x is the least point of its own
     cycle: since φ_{x▷x} = φ_x, every point of that cycle has row φ_x, and
     the search branches on points in increasing order, so a lesser point of
-    the cycle already holds a row other than φ_x (had it held φ_x,
-    propagation would already have set row x) and the branch would die.
+    the cycle already holds a row other than φ_x (had it held φ_x, the
+    closure would already have set row x) and the branch would die.
     """
     tables = []
 
@@ -365,17 +365,24 @@ def _search_connected_tables(n: int, quandle_only: bool,
 
 
 def _complete_rows(n: int, rows: list, cands: list) -> list:
-    """DFS with trail-based undo over rows given as image tuples.  Assigning
-    rows x and y forces row ``rows[x][y]`` to be the conjugate of row y by
-    row x; contradictions prune the branch.  Completed assignments satisfy
-    left self-distributivity by construction; each is returned as a table
-    of row images."""
+    """DFS over rows given as image tuples, ``rows[0]`` seeded; returns each
+    completed assignment as a table of row images.  The chosen rows (row 0,
+    then the least unassigned point at each branch) are closed the way
+    ``perm.generating_points`` closes a ▷-generating set: a new chosen row
+    acts on every point assigned before it, every chosen row on each point
+    assigned after it.  Row x on point m forces row ``rows[x][m]`` to be the
+    conjugate of row m by row x; a conflict prunes the branch.  A check of
+    every pair of assigned rows assigns the same ▷-closure of the chosen
+    points.  Call a point good when each pair it starts is consistent: as
+    φ_{x▷y} = φ_x φ_y φ_x⁻¹, x ▷ y is good when x and y are, inside a
+    ▷-closed set.  So a node passes the chosen pairs exactly when it passes
+    all pairs: the same nodes and tables come out in the same order, at
+    |chosen|·|assigned| conjugations per node, not |assigned|²."""
     if n == 1:
         # the one row is the identity; itemgetter needs two indices to
         # return a tuple
         return [tuple(rows)]
     out = []
-    trail = [0]
     getters: dict = {}  # row p -> (u -> u·p, u -> u·p⁻¹)
 
     def getters_of(p: tuple) -> tuple:
@@ -387,33 +394,23 @@ def _complete_rows(n: int, rows: list, cands: list) -> list:
             pair = getters[p] = (itemgetter(*p), itemgetter(*inv))
         return pair
 
-    def set_row(i: int, p: tuple, pending: list) -> None:
-        rows[i] = p
-        trail.append(i)
-        for j in range(n):
-            if rows[j] is not None and j != i:
-                pending.append((i, j))
-                pending.append((j, i))
-        pending.append((i, i))
+    chosen, assigned = [], []  # assigned in order, so also the undo trail
 
-    def propagate(pending: list) -> bool:
-        while pending:
-            x, y = pending.pop()
-            px, py = rows[x], rows[y]
-            t = px[y]
-            # px·py·px⁻¹
-            forced = getters_of(px)[1](getters_of(py)[0](px))
-            current = rows[t]
-            if current is not None:
-                if current != forced:
+    def close(i: int) -> bool:  # choose point i, whose row is set
+        earlier = len(assigned)
+        chosen.append(i)
+        assigned.append(i)
+        for k, m in enumerate(assigned):  # grows as it is read
+            forward = getters_of(rows[m])[0]
+            for x in chosen[-1:] if k < earlier else chosen:
+                px, t = rows[x], rows[x][m]
+                forced = getters_of(px)[1](forward(px))  # px·pm·px⁻¹
+                if rows[t] is None:
+                    rows[t] = forced
+                    assigned.append(t)
+                elif rows[t] != forced:
                     return False
-            else:
-                set_row(t, forced, pending)
         return True
-
-    def undo(mark: int):
-        while len(trail) > mark:
-            rows[trail.pop()] = None
 
     def rec():
         try:
@@ -421,17 +418,16 @@ def _complete_rows(n: int, rows: list, cands: list) -> list:
         except ValueError:
             out.append(tuple(rows))
             return
+        mark = len(assigned)
         for cand in cands[i]:
-            mark = len(trail)
-            pending: list = []
-            set_row(i, cand, pending)
-            if propagate(pending):
+            rows[i] = cand
+            if close(i):
                 rec()
-            undo(mark)
+            chosen.pop()
+            while len(assigned) > mark:
+                rows[assigned.pop()] = None
 
-    # propagate consequences of the seeded row 0 against itself
-    pending0 = [(0, 0)]
-    if propagate(pending0):
+    if close(0):
         rec()
     return out
 

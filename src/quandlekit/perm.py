@@ -147,10 +147,12 @@ class Permutation:
             cyc = [i]
             seen[i] = True
             j = self._images[i]
-            while j != i:
+            while not seen[j]:
                 seen[j] = True
                 cyc.append(j)
                 j = self._images[j]
+            if j != i:
+                raise ValueError(f"not a permutation: {self._images!r}")
             if len(cyc) > 1 or not nontrivial_only:
                 out.append(cyc)
         return out

@@ -128,3 +128,81 @@ def point_by_point_isomorphism(X, Y):
 
     rec(0)
     return solutions
+
+
+def pairwise_complete_rows(n: int, rows: list, cands: list) -> list:
+    """The row search that checked every ordered pair of assigned rows,
+    kept as an oracle for ``constructors._complete_rows``, which closes
+    only the rows it chooses.
+
+    DFS with trail-based undo over rows given as image tuples.  Assigning
+    rows x and y forces row ``rows[x][y]`` to be the conjugate of row y by
+    row x; contradictions prune the branch.  Completed assignments satisfy
+    left self-distributivity by construction; each is returned as a table
+    of row images."""
+    from operator import itemgetter
+
+    if n == 1:
+        # the one row is the identity; itemgetter needs two indices to
+        # return a tuple
+        return [tuple(rows)]
+    out = []
+    trail = [0]
+    getters: dict = {}  # row p -> (u -> u·p, u -> u·p⁻¹)
+
+    def getters_of(p: tuple) -> tuple:
+        pair = getters.get(p)
+        if pair is None:
+            inv = [0] * n
+            for i, j in enumerate(p):
+                inv[j] = i
+            pair = getters[p] = (itemgetter(*p), itemgetter(*inv))
+        return pair
+
+    def set_row(i: int, p: tuple, pending: list) -> None:
+        rows[i] = p
+        trail.append(i)
+        for j in range(n):
+            if rows[j] is not None and j != i:
+                pending.append((i, j))
+                pending.append((j, i))
+        pending.append((i, i))
+
+    def propagate(pending: list) -> bool:
+        while pending:
+            x, y = pending.pop()
+            px, py = rows[x], rows[y]
+            t = px[y]
+            # px·py·px⁻¹
+            forced = getters_of(px)[1](getters_of(py)[0](px))
+            current = rows[t]
+            if current is not None:
+                if current != forced:
+                    return False
+            else:
+                set_row(t, forced, pending)
+        return True
+
+    def undo(mark: int):
+        while len(trail) > mark:
+            rows[trail.pop()] = None
+
+    def rec():
+        try:
+            i = rows.index(None)
+        except ValueError:
+            out.append(tuple(rows))
+            return
+        for cand in cands[i]:
+            mark = len(trail)
+            pending: list = []
+            set_row(i, cand, pending)
+            if propagate(pending):
+                rec()
+            undo(mark)
+
+    # propagate consequences of the seeded row 0 against itself
+    pending0 = [(0, 0)]
+    if propagate(pending0):
+        rec()
+    return out

@@ -43,6 +43,8 @@ from quandlekit.perm import (
 )
 from quandlekit.racktable import RackTable, validate
 
+from oracle_utils import pairwise_complete_rows
+
 
 def cyc(degree, *cycles):
     return Permutation.from_cycles(degree, [[p - 1 for p in c] for c in cycles])
@@ -573,6 +575,19 @@ def _listed_search_tables(n, quandle_only):
 def test_search_matches_the_listed_permutations(n, quandle_only):
     found = constructors._search_connected_tables(n, quandle_only)
     assert sorted(found) == sorted(_listed_search_tables(n, quandle_only))
+
+
+@pytest.mark.parametrize(
+    "n,quandle_only",
+    [(n, True) for n in range(1, 8)]
+    + [pytest.param(8, True, marks=pytest.mark.slow)]
+    + [(n, False) for n in range(1, 8)])
+def test_search_matches_the_pairwise_oracle(n, quandle_only, monkeypatch):
+    """Closing only the chosen rows yields the tables of the check of every
+    pair of assigned rows, in the same order."""
+    found = constructors._search_connected_tables(n, quandle_only)
+    monkeypatch.setattr(constructors, "_complete_rows", pairwise_complete_rows)
+    assert found == constructors._search_connected_tables(n, quandle_only)
 
 
 def test_rack_enumeration_includes_non_quandles():

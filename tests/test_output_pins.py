@@ -55,9 +55,11 @@ def _invocations():
         out.append((f"analyze {name}", ["analyze", name]))
         out.append((f"analyze {name} --json", ["analyze", name, "--json"]))
     out += [(f"scan --enumerate {n}", ["scan", "--enumerate", str(n)])
-            for n in range(1, 7)]
+            for n in range(1, 9)]
     out += [(f"scan --enumerate {n} --racks",
-             ["scan", "--enumerate", str(n), "--racks"]) for n in range(1, 6)]
+             ["scan", "--enumerate", str(n), "--racks"]) for n in range(1, 7)]
+    out.append(("scan --enumerate 7 --racks --bound 7",
+                ["scan", "--enumerate", "7", "--racks", "--bound", "7"]))
     for mode in ("--sym", "--alt"):
         out += [(f"scan {mode} {d}", ["scan", mode, str(d)])
                 for d in range(1, 8)]
@@ -155,6 +157,10 @@ PINS = {
     "scan --enumerate 5": (0, "48adf0f9ccae25ac2160888fa48f9d12c7bc7136f446b5b328a85f051a95a351"),
     "scan --enumerate 5 --racks": (0, "1186dbfe75487fe88473af8583ca69bcd2a8920612f6037ffca5dfa1db4a7865"),
     "scan --enumerate 6": (0, "c4383b278862225067ebc4537ae960ba309270e75881fe7a44409105efc6b7ab"),
+    "scan --enumerate 6 --racks": (0, "b562dc6ea5473ca713ad5c84ae9d1edc6b8ab7ad3640dc48d55fe9d03310a7d4"),
+    "scan --enumerate 7": (0, "0abc55ff81e125f1574ae5528bf6b1953626d1c8aa8c6183724030562786013a"),
+    "scan --enumerate 7 --racks --bound 7": (0, "3944290077d545af51f79a81891494d75e103518f5cc900706424dc194a26c33"),
+    "scan --enumerate 8": (0, "2bfd2514e358bb74c2bb2ec0ef847f75b5c09cea1734247886e755843dfa54d7"),
     "scan --sym 1": (0, "b3747f813578528b222740da41c3fadd9e7a68adef33a8769c5af972f4046708"),
     "scan --sym 2": (0, "e6a6a9289894e3a010bc15aa9c2341e133affbbe033da296de77c0cc0f91a0e3"),
     "scan --sym 3": (0, "39940b9eaf5553b0634a1c5aca35cf426675d952aa92dacfe7b2991d98aa805f"),

@@ -1,9 +1,14 @@
 """Permutation arithmetic, cycle structure, and text forms."""
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, strategies as st
 
+import quandlekit
 from quandlekit import CycleType, Permutation
 from quandlekit.errors import DegreeMismatch, ParseError
 
@@ -94,6 +99,27 @@ def test_constructor_still_checks_its_input():
         Permutation([0, 0])
     with pytest.raises(ValueError):
         Permutation([1, 2])
+
+
+def test_cycles_refuse_unchecked_images_that_are_not_a_permutation():
+    # A cycle walk on such images would never end; the child's address
+    # space limit and the timeout turn that into a failure of this test.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quandlekit.__file__)))
+    code = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+        from quandlekit.perm import _unchecked
+        for call in (lambda: _unchecked((0, 0)).cycles(),
+                     lambda: repr(_unchecked((1, 1, 0)))):
+            try:
+                call()
+            except ValueError:
+                print("ValueError")
+    """)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          stdout=subprocess.PIPE, text=True, timeout=60)
+    assert proc.stdout == "ValueError\nValueError\n"
 
 
 # -- cycle structure -----------------------------------------------------------
