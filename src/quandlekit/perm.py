@@ -117,10 +117,7 @@ class Permutation:
         return _unchecked(tuple([s[j] for j in o]))
 
     def inverse(self) -> "Permutation":
-        out = [0] * len(self._images)
-        for i, j in enumerate(self._images):
-            out[j] = i
-        return _unchecked(tuple(out))
+        return _unchecked(_inverse_images(self._images))
 
     def conj(self, other: "Permutation") -> "Permutation":
         """Conjugate ``other`` by self: ``self * other * self.inverse()``,
@@ -192,6 +189,14 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation[{self.cycle_string()} deg={self.degree}]"
+
+
+def _inverse_images(images: Sequence[int]) -> tuple:
+    """The image tuple of the inverse of the permutation ``images``."""
+    out = [0] * len(images)
+    for i, j in enumerate(images):
+        out[j] = i
+    return tuple(out)
 
 
 def _unchecked(images: tuple) -> Permutation:
@@ -339,11 +344,28 @@ class PermutationGroup:
 
     # -- materialization ------------------------------------------------
 
+    def _closure_generators(self) -> list:
+        """The generators in order, each one left out whose inverse is an
+        earlier kept generator.  They generate the same group, as g⁻¹ is a
+        power of g; inverses are formed here, not when the group is built."""
+        kept, inverses = [], set()
+        for g in self.generators:
+            if g.images not in inverses:
+                kept.append(g)
+                inverses.add(_inverse_images(g.images))
+        return kept
+
     def elements(self) -> tuple:
-        """All group elements in deterministic BFS order (identity first)."""
+        """All group elements in deterministic BFS order (identity first).
+
+        The closure runs over :meth:`_closure_generators`, so it extends each
+        element by half as many maps when the generators come in inverse
+        pairs, as the translations of a class closed under inverses do.
+        """
         if self._elements is None:
             raw = _kernels.closure_elements(
-                self.degree, [g.images for g in self.generators], self.cap)
+                self.degree, [g.images for g in self._closure_generators()],
+                self.cap)
             if raw is None:
                 raise CapExceeded(
                     f"group closure on {self.degree} points exceeds cap {self.cap}")
@@ -395,8 +417,10 @@ class PermutationGroup:
         return sub
 
     def center_order(self) -> int:
-        """Order of the center (elements commuting with every generator)."""
-        gens = self.generators
+        """Order of the center: the elements commuting with each of
+        :meth:`_closure_generators`, as g commutes with h exactly when it
+        commutes with h⁻¹."""
+        gens = self._closure_generators()
         return sum(
             1 for g in self.elements()
             if all(g * h == h * g for h in gens)

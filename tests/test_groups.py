@@ -6,7 +6,7 @@ every set partition of the points.
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quandlekit import (
     CapExceeded,
@@ -19,6 +19,8 @@ from quandlekit import (
     make_affine_spec,
     symmetric_group,
 )
+from quandlekit import _kernels
+from quandlekit._kernels import _pure
 from quandlekit.errors import NotTransitive
 from quandlekit.perm import all_partitions, canonical_of_cycle_type
 
@@ -80,6 +82,70 @@ def test_alternating_group_has_two_even_generators(degree):
     assert len(A.generators) <= 2
     assert all(g.sign() == 1 for g in A.generators)
     assert A.order() == math.factorial(degree) // 2
+
+
+# -- inverse pairs left out of the closure -----------------------------------
+
+
+@st.composite
+def generators_with_inverses(draw):
+    """Up to three permutations of degree <= 7, with inverses and repeats
+    of them put in at drawn places."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    base = draw(st.lists(st.permutations(range(n)).map(Permutation),
+                         max_size=3))
+    gens = list(base)
+    for g in base:
+        for extra in draw(st.lists(st.sampled_from([g, g.inverse()]),
+                                   max_size=2)):
+            gens.insert(draw(st.integers(0, len(gens))), extra)
+    return n, gens
+
+
+def _commute(a, b):
+    return tuple(a[i] for i in b) == tuple(b[i] for i in a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(generators_with_inverses())
+def test_listing_matches_the_closure_over_every_generator(case):
+    # the closure over the unreduced list is the oracle
+    n, gens = case
+    raw = _pure.closure_elements(n, [g.images for g in gens], 10**6)
+    G = group(n, *gens)
+    assert G.elements()[0].is_identity()
+    assert {g.images for g in G.elements()} == set(raw)
+    assert G.order() == len(raw)
+    if len(raw) > 1:
+        with pytest.raises(CapExceeded):
+            group(n, *gens, cap=len(raw) - 1).elements()
+    assert group(n, *gens, cap=len(raw)).order() == len(raw)
+    center = sum(1 for z in raw if all(_commute(z, g.images) for g in gens))
+    assert G.center_order() == center
+
+
+def test_a_generator_is_left_out_only_after_its_inverse():
+    a, b, t = cyc(5, (1, 2, 3)), cyc(5, (1, 4, 5, 2)), cyc(5, (1, 5))
+    G = group(5, a, b.inverse(), t, a.inverse(), b)
+    assert G.generators == (a, b.inverse(), t, a.inverse(), b)
+    assert G._closure_generators() == [a, b.inverse(), t]
+
+
+def test_six_cycle_class_lists_over_one_of_each_inverse_pair(monkeypatch):
+    X = conjugacy_class_quandle(
+        symmetric_group(6), cyc(6, (1, 2, 3, 4, 5, 6))).rack
+    counts = []
+    closure = _kernels.closure_elements
+
+    def counting(degree, generators, cap):
+        counts.append(len(generators))
+        return closure(degree, generators, cap)
+
+    monkeypatch.setattr(_kernels, "closure_elements", counting)
+    G = inner_group(X)
+    assert len(G.generators) == 120
+    assert (G.order(), G.center_order()) == (720, 1)
+    assert counts == [60]
 
 
 # -- orbits ------------------------------------------------------------------

@@ -17,9 +17,11 @@ import pytest
 from quandlekit.cli import main
 from quandlekit.fixtures import fixture_text
 
-# Every nontrivial class of S4 and S5, affine quandles over Z_p, Z_3 x Z_3
-# and Z_2^3, and two coset spaces; the classes (2,2) and (3,1) of S4 and Z_6
-# are not connected.  On Z_2^3, alpha is the companion matrix of x^3 + x + 1.
+# Every nontrivial class of S4 and S5, the S6 classes (2,2,2), (4,2), (5,1)
+# and (6) (in the last three each translation's inverse is a translation
+# too), affine quandles over Z_p, Z_3 x Z_3 and Z_2^3, and two coset spaces;
+# the classes (2,2) and (3,1) of S4 and Z_6 are not connected.  On Z_2^3,
+# alpha is the companion matrix of x^3 + x + 1.
 # The S5 coset space is the benchmark's: S5 over <(1,2)>, alpha conjugation
 # by (3,4,5); the S4 one is S4 over <(3,4)>, alpha conjugation by (1,2).
 GROUP_FILES = {
@@ -37,6 +39,10 @@ SPECS = {
     "s5-32": "conj d=5 type=3,2",
     "s5-41": "conj d=5 type=4,1",
     "s5-5": "conj d=5 type=5",
+    "s6-222": "conj d=6 type=2,2,2",
+    "s6-42": "conj d=6 type=4,2",
+    "s6-51": "conj d=6 type=5,1",
+    "s6-6": "conj d=6 type=6",
     "z5-2": "affine orders=5 alpha=2",
     "z7-3": "affine orders=7 alpha=3",
     "z11-10": "affine orders=11 alpha=10",
@@ -105,6 +111,14 @@ PINS = {
     "analyze s5-41 --json": (0, "5c04109fe30160086667dffc1b23db5cbe1606f4e23293608365556dd86665ec"),
     "analyze s5-5": (0, "a320b221ce4853519a8c7dd3c86e20e0919d0f6834d4e7e34ec636ab36cacb30"),
     "analyze s5-5 --json": (0, "18bc7dee0f3ae18194edb780513b0cab3f22beb888adb85a2246150cf726b1ac"),
+    "analyze s6-222": (0, "9e49f2d169a0a94c8ba12bbcf0e8b7f9eca57167320e3855e8589a12d79d2fde"),
+    "analyze s6-222 --json": (0, "455890bcd55a67b588aaed3e6c00577a9c02294092637abdd4a5056a88075e4e"),
+    "analyze s6-42": (0, "9a47e1ca45dfc5ab4886437495a1d5c951ae4e43b39313500a6be8733e139ce6"),
+    "analyze s6-42 --json": (0, "1d2861f7e5e3ac0c984920c14616bb5d5338243fdb61fb4eb3d19d2aea4f4e93"),
+    "analyze s6-51": (0, "ff42d893a85344e9b09c714940e23b08a36f3b94618be04dcea028827e1bae2e"),
+    "analyze s6-51 --json": (0, "867719115b09f1962f1e8ebfdd263bfbb527d524f2725fe769c1114cc36b7d20"),
+    "analyze s6-6": (0, "01a260ec9cf4cb2da059df5aa5ba64101b6f1b43da57a490c91d46c37b5815ce"),
+    "analyze s6-6 --json": (0, "8d5c30ce23cebbf43160366602053932483b22054348e6596cfd310b8381b8e7"),
     "analyze z11-10": (0, "aecfe66076420e50f0b821643053d004872e0a3d2127b0f66c4d524279a0d2a8"),
     "analyze z11-10 --json": (0, "890c7b6c87994d873851cbdaf31a3d34f5d4979d73a71d24a86a40cf432bd5fc"),
     "analyze z2z2z2": (0, "6a1cebbeec02c0e098d0c9d53f58c171fcc856c29e39aee12696dc20e6300b97"),
@@ -129,6 +143,10 @@ PINS = {
     "construct s5-32": (0, "2a00d2ca4c542b3fba167cbb20611c6e7a4fcede5981362d99a049ce8c6623d2"),
     "construct s5-41": (0, "44261303773ee2252ccea0483578f32f1d1bd3f707ad1af69d66bc46ec7cc91a"),
     "construct s5-5": (0, "0ff6df42b7655b5906beb2a5670c2d45124548a782cd943a12ea45ea478d8362"),
+    "construct s6-222": (0, "098c144745af6436f96c48b2c2710a52ffe99c2f1d5ad1da8fef2f2ca2fe1c03"),
+    "construct s6-42": (0, "74c48af0647ae10472dbd7119fd5c8b88b1316a4200f3064e4bc84372e3d2dc2"),
+    "construct s6-51": (0, "c686fdc868f44b19d0091200a643753530055099717059fffd932e3f469a9262"),
+    "construct s6-6": (0, "ccf69f47c32537666b7ce8da6b61314951c57e1337e853a21383d5b4dacc6f62"),
     "construct z11-10": (0, "c9db683ad19386f696e90dfb325b6b5a73fd5d930383aeaf3e94eaf1b563a5c5"),
     "construct z2z2z2": (0, "e6d93dbeb6558d9aec5018f479cfc8f1f4a1a5585527b1387a6ca0b2d8fe3e01"),
     "construct z3z3": (0, "8c109f2079147f8c526ff32f20ba4e2bc094b708fff394c4a45fc15a4706b014"),

@@ -6,7 +6,7 @@ orders and invariants are compared, never elements.
 """
 import pytest
 
-from quandlekit import analysis
+from quandlekit import analysis, conjugacy_class_quandle, symmetric_group
 from quandlekit.analysis import inner_action_primitivity, inner_group
 from quandlekit.constructors import (
     _class_inner_order,
@@ -83,6 +83,18 @@ def test_primitivity_matches_sympy(racks_with_sympy_groups):
     for name, X, G in racks_with_sympy_groups:
         assert (inner_action_primitivity(X).primitive
                 == G.is_primitive(randomized=False)), name
+
+
+@pytest.mark.parametrize("parts", [(6,), (4, 2), (5, 1), (2, 2, 2)],
+                         ids=["6", "4-2", "5-1", "2-2-2"])
+def test_s6_class_inner_and_center_orders_match_sympy(parts):
+    # the analyzed S6 classes of the output pins; in the first three the
+    # listing leaves out one translation of each inverse pair
+    X = conjugacy_class_quandle(
+        symmetric_group(6), canonical_of_cycle_type(6, parts)).rack
+    G = SympyGroup([_sympy_perm(p.images) for p in X.distinct_translations()])
+    assert analysis.inner_order(X) == G.order()
+    assert inner_group(X).center_order() == G.center().order()
 
 
 @pytest.mark.parametrize("d", range(3, 7))
