@@ -13,7 +13,7 @@ since it can only mean an implementation bug.
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, NotConnected, TheoremViolation
 from .perm import DEFAULT_CAP, CycleType, Permutation, PermutationGroup
@@ -79,8 +79,9 @@ def inner_group(X: RackTable, cap: int = DEFAULT_CAP) -> PermutationGroup:
 
 def inner_order(X: RackTable, cap: int = DEFAULT_CAP) -> int:
     """|Inn(X)|, found by listing the inner group once per table.  Past
-    ``cap`` it raises the listing's :class:`CapExceeded`; a later call with
-    a cap below the stored order raises the same without listing again."""
+    ``cap`` it raises the listing's :class:`CapExceeded`; a stored order
+    (from an earlier call, or set by the class scans) above ``cap`` raises
+    the same without listing again.  This is the one cap rule on |Inn(X)|."""
     if X._inner_order is None:
         X._inner_order = inner_group(X, cap=cap).order()
     elif X._inner_order > cap:
@@ -132,12 +133,20 @@ def profile(X: RackTable) -> Profile:
     X._require_rack()
     if not is_connected(X):
         raise NotConnected("profile is defined for connected racks only")
-    types = set(X.cycle_types())
+    return connected_profile(X.cycle_types(), X.is_quandle)
+
+
+def connected_profile(types: Iterable[CycleType], quandle: bool) -> Profile:
+    """The profile of a connected rack from the cycle types of some of its
+    translations (all of them, or those of a ▷-generating set): they must
+    all be equal, and a quandle's must have length 1.  A failure raises
+    :class:`TheoremViolation`."""
+    types = set(types)
     if len(types) != 1:
         raise TheoremViolation(
             "connected rack has translations of unequal cycle type")
     ct = types.pop()
-    if X.is_quandle and ct.lengths[0] != 1:
+    if quandle and ct.lengths[0] != 1:
         raise TheoremViolation("quandle profile must start with length 1")
     return Profile(ct)
 

@@ -241,58 +241,54 @@ class AnalysisReport(NamedTuple):
         }
 
     def to_text(self) -> str:
-        skipped = dict(self.skipped)
+        """The text report, rendered from :meth:`to_json_dict`."""
+        d = self.to_json_dict()
+        skipped = d["skipped"]
 
-        def line(label, value, key=None):
-            if key is not None and key in skipped:
+        def line(label, key):
+            if key in skipped:
                 return f"{label}: n/a ({skipped[key]})"
-            return f"{label}: {value}"
+            return f"{label}: {d[key]}"
 
+        fiber = d["fiber_size"]
         out = [
-            f"n: {self.n}",
-            f"kind: {self.kind}",
-            f"connected: {'yes' if self.connected else 'no'}",
-            f"faithful: {'yes' if self.faithful else 'no'}",
-            f"fiber size: {self.fiber_size if self.fiber_size is not None else 'non-uniform'}",
-            line("profile", self.profile, "profile"),
+            f"n: {d['n']}",
+            f"kind: {d['kind']}",
+            f"connected: {'yes' if d['connected'] else 'no'}",
+            f"faithful: {'yes' if d['faithful'] else 'no'}",
+            f"fiber size: {fiber if fiber is not None else 'non-uniform'}",
+            line("profile", "profile"),
         ]
-        if self.least_length_above_one:
+        if d["least_length_above_one"]:
             out.append("note: rack profile with least length above 1")
         if "primitive" in skipped:
-            out.append(f"primitive: n/a ({skipped['primitive']})")
+            out.append(line("primitive", "primitive"))
         else:
-            out.append(f"primitive: {'yes' if self.primitive else 'no'}")
-            if self.block_witness is not None:
-                cells = " ".join(
-                    "{" + ",".join(str(p + 1) for p in sorted(cell)) + "}"
-                    for cell in self.block_witness
-                )
+            out.append(f"primitive: {'yes' if d['primitive'] else 'no'}")
+            if d["block_witness"] is not None:
+                cells = " ".join("{" + ",".join(map(str, cell)) + "}"
+                                 for cell in d["block_witness"])
                 out.append(f"block witness: {cells}")
-        out.append(line("hayashi", self.hayashi, "hayashi"))
-        if self.evidence is not None:
-            w = self.evidence.trivial_witness
-            out.append(
-                "trivial-intersection witness: "
-                + (f"element {w + 1}" if w is not None else "none")
-                + f" (cyclic order {self.evidence.F_order})"
-            )
+        out.append(line("hayashi", "hayashi"))
+        label = "trivial-intersection witness"
+        evidence = d["evidence"]
+        if evidence is not None:
+            w = evidence["trivial_witness"]
+            out.append(f"{label}: "
+                       + (f"element {w}" if w is not None else "none")
+                       + f" (cyclic order {evidence['cyclic_order']})")
         elif "evidence" in skipped:
-            out.append(f"trivial-intersection witness: n/a ({skipped['evidence']})")
-        if self.lambda_parts is not None:
-            for c in self.lambda_parts:
-                out.append(
-                    f"length-{c.k} part: each point {c.expected}x, "
-                    f"uniform: {'yes' if c.uniform else 'NO'}"
-                )
-        if self.k_tilde is not None:
-            for d in self.k_tilde:
-                if not d.is_partition:
-                    out.append(f"k~={d.k}: parts do not partition the points")
-                else:
-                    out.append(
-                        f"k~={d.k}: partition into {len(d.cells)} cells, "
-                        f"block system: {'yes' if d.is_block_system else 'no'}"
-                    )
+            out.append(line(label, "evidence"))
+        for c in d["lambda_parts"] or ():
+            out.append(f"length-{c['length']} part: each point {c['count']}x, "
+                       f"uniform: {'yes' if c['uniform'] else 'NO'}")
+        for c in d["k_tilde"] or ():
+            if not c["partition"]:
+                out.append(f"k~={c['k']}: parts do not partition the points")
+            else:
+                out.append(f"k~={c['k']}: partition into {len(c['cells'])} "
+                           "cells, block system: "
+                           + ("yes" if c["block_system"] else "no"))
         return "\n".join(out) + "\n"
 
 

@@ -23,6 +23,7 @@ from .perm import (
     CycleType,
     Permutation,
     PermutationGroup,
+    _inverse_images,
     _unchecked,
     all_partitions,
     alternating_group,
@@ -33,7 +34,7 @@ from .perm import (
     symmetric_class_size,
 )
 from .racktable import RackTable, fingerprint, is_isomorphic
-from .analysis import Profile, is_connected
+from .analysis import Profile, connected_profile, is_connected
 
 ENUMERATION_BOUND = 8
 CLASS_SCAN_BOUND = 7
@@ -388,10 +389,8 @@ def _complete_rows(n: int, rows: list, cands: list) -> list:
     def getters_of(p: tuple) -> tuple:
         pair = getters.get(p)
         if pair is None:
-            inv = [0] * n
-            for i, j in enumerate(p):
-                inv[j] = i
-            pair = getters[p] = (itemgetter(*p), itemgetter(*inv))
+            pair = getters[p] = (itemgetter(*p),
+                                 itemgetter(*_inverse_images(p)))
         return pair
 
     chosen, assigned = [], []  # assigned in order, so also the undo trail
@@ -449,13 +448,21 @@ def _dedup_tables(racks: list) -> list:
     return kept
 
 
+def _check_bound(search: str, noun: str, n: int, bound: int) -> None:
+    """The bound rule of the enumerations and the class scans: ``n`` past
+    ``bound`` raises :class:`BoundExceeded`, and below 1 a ValueError."""
+    if n > bound:
+        raise BoundExceeded(f"{search} bound is {bound}, requested {n}")
+    if n < 1:
+        raise ValueError(f"{noun} must be positive")
+
+
 def enumerate_connected_quandles(n: int, bound: int = ENUMERATION_BOUND,
                                  cap: int = DEFAULT_CAP) -> list:
     """All connected quandles with n elements, up to isomorphism, in a
     deterministic order (fingerprint, then table).  A conjugacy class of
     the search larger than ``cap`` raises :class:`CapExceeded`."""
-    if n > bound:
-        raise BoundExceeded(f"enumeration bound is {bound}, requested {n}")
+    _check_bound("enumeration", "order", n, bound)
     return _enumerate(n, quandle_only=True, cap=cap)
 
 
@@ -464,14 +471,11 @@ def enumerate_connected_racks(n: int, bound: int = 6,
     """All connected racks (quandles included) with n elements, up to
     isomorphism.  The search space is larger than the quandle case, hence
     the smaller default bound; ``cap`` is as for the quandles."""
-    if n > bound:
-        raise BoundExceeded(f"rack enumeration bound is {bound}, requested {n}")
+    _check_bound("rack enumeration", "order", n, bound)
     return _enumerate(n, quandle_only=False, cap=cap)
 
 
 def _enumerate(n: int, quandle_only: bool, cap: int) -> list:
-    if n < 1:
-        raise ValueError("order must be positive")
     promise = "quandle" if quandle_only else "rack"
     racks = [_as_promised(t, promise, f"{promise} enumeration")
              for t in _search_connected_tables(n, quandle_only, cap)
@@ -523,14 +527,9 @@ def _conjugation_action(cls: Sequence[Permutation]) -> tuple:
     generators = [cls[k] for k in taken]
     if len(orbit_partition(n, rows)) > 1:
         return False, None, generators
-    types = {_unchecked(row).cycle_type() for row in rows}
-    if len(types) != 1:
-        raise TheoremViolation(
-            "connected rack has translations of unequal cycle type")
-    ct = types.pop()
-    if ct.lengths[0] != 1:
-        raise TheoremViolation("quandle profile must start with length 1")
-    return True, Profile(ct), generators
+    prof = connected_profile((_unchecked(row).cycle_type() for row in rows),
+                             quandle=True)
+    return True, prof, generators
 
 
 def _class_inner_order(generators: Sequence[Permutation]) -> int:
@@ -554,12 +553,9 @@ def _class_scan_record(cls: Sequence[Permutation], parts, split=None,
     witness_ok = None
     if check_witness and connected:
         rack, _ = rack_from_conjugation_closed(cls)
-        order = _class_inner_order(generators)
-        if order > cap:
-            raise CapExceeded(
-                f"group closure on {rack.n} points exceeds cap {cap}")
-        # analysis.inner_order reads the stored order instead of listing Inn(X)
-        rack._inner_order = order
+        # analysis.inner_order reads the stored order instead of listing
+        # Inn(X), and applies the cap to it
+        rack._inner_order = _class_inner_order(generators)
         evidence = intersection_evidence(rack, 0, cap=cap)
         witness_ok = evidence.trivial_witness is not None
     return ClassScanRecord(
@@ -579,10 +575,7 @@ def symmetric_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
     """One record per noncentral conjugacy class of the symmetric group of
     degree d (i.e. every class except the identity's).  Each class is sized
     against ``cap`` before it is listed, and no table is built."""
-    if d > bound:
-        raise BoundExceeded(f"class scan bound is {bound}, requested {d}")
-    if d < 1:
-        raise ValueError("degree must be positive")
+    _check_bound("class scan", "degree", d, bound)
     return [_class_scan_record(symmetric_class(d, parts, cap), parts)
             for parts in all_partitions(d) if any(p != 1 for p in parts)]
 
@@ -606,10 +599,7 @@ def alternating_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
     ``split_witness=None``.  Each symmetric-group class is sized against
     ``cap`` before its part in the alternating group is listed.
     """
-    if d > bound:
-        raise BoundExceeded(f"class scan bound is {bound}, requested {d}")
-    if d < 1:
-        raise ValueError("degree must be positive")
+    _check_bound("class scan", "degree", d, bound)
     A = alternating_group(d, cap=cap)
     out = []
     for parts in all_partitions(d):

@@ -206,3 +206,62 @@ def pairwise_complete_rows(n: int, rows: list, cands: list) -> list:
     if propagate(pending0):
         rec()
     return out
+
+
+def report_text(report):
+    """The text of an ``AnalysisReport`` as rendered from its fields, kept
+    as an oracle for ``AnalysisReport.to_text``, which renders from
+    ``to_json_dict``."""
+    skipped = dict(report.skipped)
+
+    def line(label, value, key=None):
+        if key is not None and key in skipped:
+            return f"{label}: n/a ({skipped[key]})"
+        return f"{label}: {value}"
+
+    out = [
+        f"n: {report.n}",
+        f"kind: {report.kind}",
+        f"connected: {'yes' if report.connected else 'no'}",
+        f"faithful: {'yes' if report.faithful else 'no'}",
+        f"fiber size: {report.fiber_size if report.fiber_size is not None else 'non-uniform'}",
+        line("profile", report.profile, "profile"),
+    ]
+    if report.least_length_above_one:
+        out.append("note: rack profile with least length above 1")
+    if "primitive" in skipped:
+        out.append(f"primitive: n/a ({skipped['primitive']})")
+    else:
+        out.append(f"primitive: {'yes' if report.primitive else 'no'}")
+        if report.block_witness is not None:
+            cells = " ".join(
+                "{" + ",".join(str(p + 1) for p in sorted(cell)) + "}"
+                for cell in report.block_witness
+            )
+            out.append(f"block witness: {cells}")
+    out.append(line("hayashi", report.hayashi, "hayashi"))
+    if report.evidence is not None:
+        w = report.evidence.trivial_witness
+        out.append(
+            "trivial-intersection witness: "
+            + (f"element {w + 1}" if w is not None else "none")
+            + f" (cyclic order {report.evidence.F_order})"
+        )
+    elif "evidence" in skipped:
+        out.append(f"trivial-intersection witness: n/a ({skipped['evidence']})")
+    if report.lambda_parts is not None:
+        for c in report.lambda_parts:
+            out.append(
+                f"length-{c.k} part: each point {c.expected}x, "
+                f"uniform: {'yes' if c.uniform else 'NO'}"
+            )
+    if report.k_tilde is not None:
+        for d in report.k_tilde:
+            if not d.is_partition:
+                out.append(f"k~={d.k}: parts do not partition the points")
+            else:
+                out.append(
+                    f"k~={d.k}: partition into {len(d.cells)} cells, "
+                    f"block system: {'yes' if d.is_block_system else 'no'}"
+                )
+    return "\n".join(out) + "\n"

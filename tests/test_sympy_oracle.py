@@ -8,6 +8,7 @@ import pytest
 
 from quandlekit import analysis, conjugacy_class_quandle, symmetric_group
 from quandlekit.analysis import inner_action_primitivity, inner_group
+from quandlekit.cli import construct_from_spec
 from quandlekit.constructors import (
     _class_inner_order,
     _conjugation_action,
@@ -24,6 +25,7 @@ from quandlekit.perm import (
 )
 
 from test_class_scans import _alternating_halves
+from test_output_pins import GROUP_FILES, SPECS
 from test_table_evidence import _differential_racks
 
 pytest.importorskip("sympy")
@@ -171,3 +173,27 @@ def test_block_witness_cell_sizes_match_sympy(racks_with_sympy_groups):
         assert {len(cell) for cell in witness} == {min(sizes)}, name
         assert len(witness) * min(sizes) == X.n, name
     assert imprimitive > 0
+
+
+@pytest.fixture(scope="module")
+def pinned_constructs(tmp_path_factory):
+    """The racks of the pinned ``homog`` and ``affine`` specs, built as
+    ``construct`` builds them."""
+    root = tmp_path_factory.mktemp("groups")
+    for name, text in GROUP_FILES.items():
+        (root / name).write_text(text)
+    return [(name, construct_from_spec(spec.format(dir=root))[0])
+            for name, spec in SPECS.items()
+            if spec.split()[0] in ("homog", "affine")]
+
+
+def test_pinned_constructs_match_sympy(pinned_constructs):
+    assert len(pinned_constructs) == 8
+    for name, X in pinned_constructs:
+        G = SympyGroup([_sympy_perm(p.images) for p in X.distinct_translations()])
+        assert analysis.inner_order(X) == G.order(), name
+        assert inner_group(X).center_order() == G.center().order(), name
+        assert analysis.is_connected(X) == G.is_transitive(), name
+        if G.is_transitive():
+            assert (inner_action_primitivity(X).primitive
+                    == G.is_primitive(randomized=False)), name

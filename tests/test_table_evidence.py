@@ -1,5 +1,8 @@
 """The intersection evidence and the conjugation-orbit sizes, read off the
 operation table, against the group-theoretic forms they replace."""
+import functools
+from operator import itemgetter
+
 import pytest
 
 import quandlekit as qk
@@ -55,22 +58,40 @@ def six_cycle_class():
 # -- the group-theoretic forms, kept as oracles ----------------------------------
 
 
+# Image tuples recur across base points, so their maps and inverses are
+# formed once.
+@functools.cache
+def _after(a):
+    """The map u -> u∘a on image tuples: u read at the images of a."""
+    return itemgetter(*a) if len(a) > 1 else lambda u: (u[a[0]],)
+
+
+@functools.cache
+def _inverse(a):
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
 def centralizer_evidence(X, G, x):
     """Intersect F = <phi_x> with every translation-conjugate of the
-    centralizer H of phi_x in the inner group G, by membership tests."""
-    px = X.phi(x)
-    H = G.centralizer(px).element_set()
-    F = [Permutation.identity(X.n)]
+    centralizer H of phi_x in the inner group G, by membership tests on
+    image tuples; H is the elements of G that commute with phi_x."""
+    px = X.table[x]
+    # g·px = px·g, compared point by point, stopping at the first miss
+    H = {g for g in (e.images for e in G.elements())
+         if all(g[p] == px[q] for p, q in zip(px, g))}
+    identity = tuple(range(X.n))
+    F = [identity]
     q = px
-    while not q.is_identity():
+    while q != identity:
         F.append(q)
-        q = q * px
+        q = _after(px)(q)
+    after_f = [_after(f) for f in F]
     witnesses = []
     trivial = None
-    for y in range(X.n):
-        py = X.phi(y)
-        pyinv = py.inverse()
-        order = sum(1 for f in F if (pyinv * f) * py in H)
+    for y, py in enumerate(X.table):
+        pyinv, after_py = _inverse(py), _after(py)
+        # py⁻¹·f·py, formed as (py⁻¹ read at f) read at py
+        order = sum(1 for a in after_f if after_py(a(pyinv)) in H)
         witnesses.append((y, order))
         if order == 1 and trivial is None:
             trivial = y
@@ -79,13 +100,20 @@ def centralizer_evidence(X, G, x):
 
 def conj_orbit_sizes(X, x, y):
     """The orbit of y under powers of phi_x, and the orbit of phi_y under
-    conjugation by those powers, by iterated conjugation."""
-    px, py = X.phi(x), X.phi(y)
-    lam = next(len(c) for c in px.cycles() if y in c)
-    q = px.conj(py)
+    conjugation by those powers, by iterated conjugation of image tuples."""
+    px, py = X.table[x], X.table[y]
+    after_pxinv = _after(_inverse(px))
+    lam, w = 1, px[y]
+    while w != y:
+        lam, w = lam + 1, px[w]
+
+    def conj(q):  # px·q·px⁻¹
+        return _after(after_pxinv(q))(px)
+
+    q = conj(py)
     lam_bar = 1
     while q != py:
-        q = px.conj(q)
+        q = conj(q)
         lam_bar += 1
     return analysis.OrbitSizes(lam, lam_bar)
 
