@@ -41,7 +41,9 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
-        """Build from disjoint cycles of 0-based points; fixed points implied."""
+        """Build from disjoint cycles of 0-based points; fixed points implied.
+        The range and repeat checks prove a bijection, so the images are
+        not sorted again."""
         images = list(range(degree))
         seen = set()
         for cycle in cycles:
@@ -52,7 +54,7 @@ class Permutation:
                     raise ValueError(f"point {a} appears in two cycles")
                 seen.add(a)
                 images[a] = b
-        return cls(images)
+        return _unchecked(tuple(images))
 
     @classmethod
     def parse(cls, text: str, degree: int) -> "Permutation":

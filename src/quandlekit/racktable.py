@@ -357,24 +357,31 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def parse_rtbl(text: str) -> RackTable:
+def _header(text: str, kind: str, noun: str) -> tuple:
+    """The size n from the ``<kind> <n>`` header of a text table, and the
+    content lines after it, unparsed."""
     lines = list(_content_lines(text))
     if not lines:
-        raise ParseError("empty RTBL input")
+        raise ParseError(f"empty {kind.upper()} input")
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "rtbl":
-        raise ParseError(f"expected 'rtbl <n>' header, got {header!r}", lineno)
+    if len(parts) != 2 or parts[0] != kind:
+        raise ParseError(f"expected '{kind} <n>' header, got {header!r}", lineno)
     try:
         n = int(parts[1])
     except ValueError:
-        raise ParseError(f"bad size {parts[1]!r}", lineno) from None
+        raise ParseError(f"bad {noun} {parts[1]!r}", lineno) from None
     if n < 1:
-        raise ParseError(f"size must be positive, got {n}", lineno)
-    if len(lines) - 1 != n:
-        raise ParseError(f"expected {n} table rows, found {len(lines) - 1}")
+        raise ParseError(f"{noun} must be positive, got {n}", lineno)
+    return n, lines[1:]
+
+
+def parse_rtbl(text: str) -> RackTable:
+    n, lines = _header(text, "rtbl", "size")
+    if len(lines) != n:
+        raise ParseError(f"expected {n} table rows, found {len(lines)}")
     table = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         try:
             row = [int(tok) - 1 for tok in line.split()]
         except ValueError:
@@ -398,31 +405,11 @@ def emit_rtbl(X: RackTable, comment: Optional[str] = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def _perm_lines(text: str) -> tuple:
-    """The degree of a PERM file and its permutation lines, unparsed."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty PERM input")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "perm":
-        raise ParseError(f"expected 'perm <n>' header, got {header!r}", lineno)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad degree {parts[1]!r}", lineno) from None
-    if n < 1:
-        raise ParseError(f"degree must be positive, got {n}", lineno)
-    return n, lines[1:]
-
-
-def parse_perm_file(text: str) -> tuple:
-    """Parse a PERM file into ``(degree, [Permutation, ...])``.  A degree
-    whose n-point table would pass the table bound raises
-    :class:`CapExceeded` before any line is expanded to its n images."""
+def _perm_rows(n: int, lines: list) -> list:
+    """The permutations of degree ``n`` on the content lines of a PERM
+    file, with the table bound checked before any line is expanded."""
     from .constructors import _check_table
 
-    n, lines = _perm_lines(text)
     _check_table(f"PERM input of degree {n}", n)
     perms = []
     for lineno, line in lines:
@@ -430,24 +417,31 @@ def parse_perm_file(text: str) -> tuple:
             perms.append(Permutation.parse(line, n))
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from None
-    return n, perms
+    return perms
+
+
+def parse_perm_file(text: str) -> tuple:
+    """Parse a PERM file into ``(degree, [Permutation, ...])``.  A degree
+    whose n-point table would pass the table bound raises
+    :class:`CapExceeded` before any line is expanded to its n images."""
+    n, lines = _header(text, "perm", "degree")
+    return n, _perm_rows(n, lines)
 
 
 def parse_rack_file(text: str) -> RackTable:
     """Dispatch on the header: RTBL is read directly, PERM rows become the
     translation maps of the table.  Both formats check the row count against
     the header before reading any row."""
-    for _, line in _content_lines(text):
-        head = line.split()[0]
-        break
-    else:
+    first = next(_content_lines(text), None)
+    if first is None:
         raise ParseError("empty input")
+    head = first[1].split()[0]
     if head == "rtbl":
         return parse_rtbl(text)
     if head == "perm":
-        degree, lines = _perm_lines(text)
-        if len(lines) != degree:
+        n, lines = _header(text, "perm", "degree")
+        if len(lines) != n:
             raise ParseError(
-                f"PERM rack input needs {degree} permutations, found {len(lines)}")
-        return RackTable.from_permutation_rows(parse_perm_file(text)[1])
+                f"PERM rack input needs {n} permutations, found {len(lines)}")
+        return RackTable.from_permutation_rows(_perm_rows(n, lines))
     raise ParseError(f"unknown format header {head!r}")

@@ -208,6 +208,27 @@ def pairwise_complete_rows(n: int, rows: list, cands: list) -> list:
     return out
 
 
+def base_image_order(X):
+    """|Inn(X)| as the orbit size of the tuple ``X.generating_set()`` under
+    the distinct translations, kept as an oracle for
+    ``analysis.inner_order``, which lists the group.
+
+    A ▷-generating set S is a base of Inn(X): an inner automorphism that
+    fixes S fixes its ▷-closure, which is X.  So the stabilizer of the
+    tuple S is trivial, and its orbit has |Inn(X)| images."""
+    base = tuple(X.generating_set())
+    rows = [t.images for t in X.distinct_translations()]
+    seen = {base}
+    queue = [base]
+    for image in queue:  # grows as it is read
+        for row in rows:
+            moved = tuple([row[p] for p in image])
+            if moved not in seen:
+                seen.add(moved)
+                queue.append(moved)
+    return len(seen)
+
+
 def report_text(report):
     """The text of an ``AnalysisReport`` as rendered from its fields, kept
     as an oracle for ``AnalysisReport.to_text``, which renders from

@@ -136,6 +136,56 @@ def test_perm_file_with_a_non_positive_degree_exit_code(capsys, tmp_path,
     assert "Traceback" not in err
 
 
+# A rack file reaches the reader through validate and analyze; a PERM group
+# file through construct homog.
+RACK_FILE_ERRORS = [
+    ("", "empty input"),
+    ("# a comment\n\n", "empty input"),
+    ("tabl 3\n", "unknown format header 'tabl'"),
+    ("RTBL 1\n1\n", "unknown format header 'RTBL'"),
+    ("rtbl\n", "line 1: expected 'rtbl <n>' header, got 'rtbl'"),
+    ("rtbl 1 1\n1\n", "line 1: expected 'rtbl <n>' header, got 'rtbl 1 1'"),
+    ("perm 1 1\n()\n", "line 1: expected 'perm <n>' header, got 'perm 1 1'"),
+    ("# size\nrtbl x\n", "line 2: bad size 'x'"),
+    ("perm 1.5\n()\n", "line 1: bad degree '1.5'"),
+    ("rtbl 0\n", "line 1: size must be positive, got 0"),
+    ("rtbl -2\n", "line 1: size must be positive, got -2"),
+    ("perm 0\n", "line 1: degree must be positive, got 0"),
+    ("perm -2\n", "line 1: degree must be positive, got -2"),
+    ("rtbl 3\n1 2 3\n1 x 3\n", "expected 3 table rows, found 2"),
+    ("rtbl 2\n1 2\n2 1\n1 2\n", "expected 2 table rows, found 3"),
+    ("perm 3\n(1,2)\n(1,x)\n", "PERM rack input needs 3 permutations, found 2"),
+    ("perm 2\n()\n()\n()\n", "PERM rack input needs 2 permutations, found 3"),
+]
+
+GROUP_FILE_ERRORS = [
+    ("", "empty PERM input"),
+    ("rtbl 1\n1\n", "line 1: expected 'perm <n>' header, got 'rtbl 1'"),
+    ("perm\n", "line 1: expected 'perm <n>' header, got 'perm'"),
+    ("perm 2 2\n(1,2)\n", "line 1: expected 'perm <n>' header, got 'perm 2 2'"),
+    ("\nperm x\n(1,2)\n", "line 2: bad degree 'x'"),
+    ("perm 0\n", "line 1: degree must be positive, got 0"),
+    ("perm -2\n(1,2)\n", "line 1: degree must be positive, got -2"),
+]
+
+
+@pytest.mark.parametrize("text,message", RACK_FILE_ERRORS)
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_rack_file_header_and_row_count_messages(capsys, tmp_path, command,
+                                                 text, message):
+    path = tmp_path / "rack.txt"
+    path.write_text(text)
+    assert run(capsys, command, str(path)) == (64, "", f"quandlekit: {message}\n")
+
+
+@pytest.mark.parametrize("text,message", GROUP_FILE_ERRORS)
+def test_group_file_header_messages(capsys, tmp_path, text, message):
+    path = tmp_path / "group.perm"
+    path.write_text(text)
+    assert run(capsys, "construct", f"homog group={path} sub= alpha=conj:()") == (
+        64, "", f"quandlekit: {message}\n")
+
+
 # -- analyze ------------------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ its translations.  The group generated by all translations stays the
 oracle: the generating set's translations must give the same group, the
 same primitivity verdict and the same block flags."""
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -24,10 +25,14 @@ from quandlekit import (
     profile,
     symmetric_group,
 )
-from quandlekit.analysis import KTildeDiagnostic, _inner_action
+from quandlekit.analysis import KTildeDiagnostic, _inner_action, inner_order
 from quandlekit.constructors import rack_from_conjugation_closed
 from quandlekit.perm import (all_partitions, canonical_of_cycle_type,
                              generating_points)
+
+from oracle_utils import base_image_order
+from test_class_scans import _alternating_halves
+from test_table_evidence import _differential_racks
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -226,6 +231,40 @@ def test_generating_set_of_drawn_racks(X):
     assert_same_group(X)
     if is_connected(X):
         assert_block_routines_agree(X)
+
+
+def alternating_classes(degrees):
+    """Racks of the noncentral classes of A_d, split halves separately."""
+    for d in degrees:
+        for parts, split, half in _alternating_halves(d):
+            yield (f"alt-{d}-{parts}-{split}",
+                   rack_from_conjugation_closed(half)[0])
+
+
+def relabeled(X, seed):
+    images = list(range(X.n))
+    random.Random(seed).shuffle(images)
+    return X.relabel(Permutation(images))
+
+
+def test_inner_order_is_the_orbit_size_of_the_generating_set():
+    affine_61 = affine_quandle(make_affine_spec([61], 2)).rack
+    racks = [
+        *_differential_racks(),
+        *class_quandles((4, 5, 6)),
+        *alternating_classes(range(3, 7)),
+        *affine_quandles((17, 19, 23, 29, 31)),
+        ("affine-61-2", affine_61),
+        ("affine-25-2", affine_quandle(make_affine_spec([25], 2)).rack),
+        ("affine-3x3-fib", affine_quandle(make_affine_spec(
+            [3, 3], lambda t: (t[1], (t[0] + t[1]) % 3))).rack),
+    ]
+    racks += [(f"{name}-relabeled", relabeled(X, name)) for name, X in racks]
+    for name, X in racks:
+        assert base_image_order(X) == inner_order(X), name
+    # the orbit of the first point of S alone has 61 images
+    assert affine_61.generating_set() == (0, 1)
+    assert inner_order(affine_61) == 61 * 60
 
 
 # -- block routines through the generating set ------------------------------------------

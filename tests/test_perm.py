@@ -6,7 +6,7 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import quandlekit
 from quandlekit import CycleType, Permutation
@@ -242,3 +242,48 @@ def test_parse_rejects_a_repeated_point(text):
 @given(any_perm)
 def test_cycle_string_round_trip(p):
     assert Permutation.parse(p.cycle_string(), p.degree) == p
+
+
+def _cycle_text(cycles):
+    return "".join(
+        "(" + ",".join(str(x + 1) for x in c) + ")" for c in cycles) or "()"
+
+
+ROUND_TRIP = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@ROUND_TRIP
+@given(st.integers(min_value=1, max_value=12).flatmap(perms),
+       st.randoms(use_true_random=False))
+def test_cycle_forms_build_the_checked_permutation(p, rnd):
+    # parse and from_cycles wrap their images without the constructor's
+    # sort; the constructor is the oracle
+    expected = Permutation(p.images)
+    cycles = p.cycles(nontrivial_only=rnd.random() < 0.5)
+    rnd.shuffle(cycles)
+    cycles = [c[k:] + c[:k] for c in cycles for k in [rnd.randrange(len(c))]]
+    assert Permutation.parse(p.cycle_string(), p.degree) == expected
+    assert Permutation.parse(_cycle_text(cycles), p.degree) == expected
+    assert Permutation.from_cycles(p.degree, p.cycles()) == expected
+    assert Permutation.from_cycles(p.degree, cycles) == expected
+
+
+@ROUND_TRIP
+@given(st.integers(min_value=1, max_value=12).flatmap(perms), st.data())
+def test_cycle_forms_reject_a_repeated_or_out_of_range_point(p, data):
+    n = p.degree
+    cycles = p.cycles()
+    repeated = data.draw(st.sampled_from(range(n)))
+    with pytest.raises(ParseError,
+                       match=f"^point {repeated + 1} appears more than once$"):
+        Permutation.parse(_cycle_text(cycles + [[repeated]]), n)
+    with pytest.raises(ValueError,
+                       match=f"^point {repeated} appears in two cycles$"):
+        Permutation.from_cycles(n, cycles + [[repeated]])
+    outside = data.draw(st.sampled_from([-1, n, n + 1]))
+    with pytest.raises(ParseError,
+                       match=f"^point {outside + 1} out of range 1..{n}$"):
+        Permutation.parse(_cycle_text(cycles + [[outside]]), n)
+    with pytest.raises(ValueError,
+                       match=f"^point {outside} out of range for degree {n}$"):
+        Permutation.from_cycles(n, cycles + [[outside]])
