@@ -68,7 +68,7 @@ class Permutation:
         consumed = _CYCLE_RE.sub("", stripped).strip()
         if consumed:
             raise ParseError(f"unexpected text in cycle notation: {consumed!r}")
-        cycles = []
+        images = list(range(degree))
         seen = set()
         for body in _CYCLE_RE.findall(stripped):
             body = body.strip()
@@ -78,14 +78,14 @@ class Permutation:
                 pts = [int(tok) - 1 for tok in re.split(r"[,\s]+", body)]
             except ValueError:
                 raise ParseError(f"bad cycle {body!r}") from None
-            for p in pts:
-                if not 0 <= p < degree:
-                    raise ParseError(f"point {p + 1} out of range 1..{degree}")
-                if p in seen:
-                    raise ParseError(f"point {p + 1} appears more than once")
-                seen.add(p)
-            cycles.append(pts)
-        return cls.from_cycles(degree, cycles)
+            for a, b in zip(pts, pts[1:] + pts[:1]):
+                if not 0 <= a < degree:
+                    raise ParseError(f"point {a + 1} out of range 1..{degree}")
+                if a in seen:
+                    raise ParseError(f"point {a + 1} appears more than once")
+                seen.add(a)
+                images[a] = b
+        return _unchecked(tuple(images))
 
     @property
     def degree(self) -> int:

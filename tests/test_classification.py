@@ -55,6 +55,7 @@ def test_prime_order_quandles_are_affine_over_z_p(p):
     assert sorted(m[0] for m in matches) == list(range(p - 2))
 
 
+@pytest.mark.slow
 def test_order_9_quandles_are_affine_over_z_9_or_z_3_squared():
     classes = []  # one affine quandle of each isomorphism class
     for Y in _order_9_affine():

@@ -9,6 +9,7 @@ from quandlekit import (
     CycleType,
     NotConnected,
     Permutation,
+    PermutationGroup,
     TheoremViolation,
     affine_quandle,
     alternating_class_divisibility_check,
@@ -18,7 +19,6 @@ from quandlekit import (
     enumerate_connected_quandles,
     full_report,
     hayashi_check,
-    inner_group,
     intersection_evidence,
     is_faithful,
     make_affine_spec,
@@ -122,14 +122,17 @@ def test_crosscheck_closes_the_inner_group_once(monkeypatch):
     golden = smallquandle_12_4()
     groups = []
 
-    def counting_inner_group(X, cap):
-        groups.append(inner_group(X, cap=cap))
+    def counting_group(degree, generators, cap):
+        groups.append(PermutationGroup(degree, generators, cap=cap))
         return groups[-1]
 
-    monkeypatch.setattr(analysis, "inner_group", counting_inner_group)
+    # the --cap listing in analysis.inner_order is the one group it builds
+    monkeypatch.setattr(analysis, "PermutationGroup", counting_group)
     result = divisibility_crosscheck(golden)
     assert (result.forward_ok, result.converse_ok) == (True, True)
     assert len(groups) == 1
+    assert groups[0].generators == golden.distinct_translations()
+    assert groups[0].order() == 72
     monkeypatch.undo()
     for x in range(golden.n):
         assert (intersection_evidence(golden, x)

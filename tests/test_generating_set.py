@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from quandlekit import (
     Permutation,
+    PermutationGroup,
     PrimitivityReport,
     RackTable,
     affine_quandle,
@@ -25,7 +26,7 @@ from quandlekit import (
     profile,
     symmetric_group,
 )
-from quandlekit.analysis import KTildeDiagnostic, _inner_action, inner_order
+from quandlekit.analysis import KTildeDiagnostic, inner_order
 from quandlekit.constructors import rack_from_conjugation_closed
 from quandlekit.perm import (all_partitions, canonical_of_cycle_type,
                              generating_points)
@@ -66,15 +67,20 @@ def assert_generating_set(X, name=""):
     assert S == greedy_oracle(X), name
 
 
+def all_translations_group(X):
+    """Inn(X) over every distinct translation: independent of S."""
+    return PermutationGroup(X.n, X.distinct_translations())
+
+
 def primitivity_oracle(X):
-    witness = inner_group(X).block_system_witness()
+    witness = all_translations_group(X).block_system_witness()
     if witness is None:
         return PrimitivityReport(True, None)
     return PrimitivityReport(False, tuple(witness))
 
 
 def k_tilde_oracle(X):
-    G = inner_group(X)
+    G = all_translations_group(X)
     out = []
     for k in profile(X).lengths:
         cells = sorted({t.k_tilde_part(k) for t in X.distinct_translations()},
@@ -101,10 +107,10 @@ def assert_block_routines_agree(X, name=""):
 
 
 def assert_same_group(X, name=""):
-    G, H = _inner_action(X), inner_group(X)
+    G, H = all_translations_group(X), inner_group(X)
     assert G.orbits() == H.orbits(), name
     if X.n <= 12:
-        assert G.order() == H.order(), name
+        assert G.element_set() == H.element_set(), name
 
 
 def class_quandles(degrees):
@@ -265,6 +271,19 @@ def test_inner_order_is_the_orbit_size_of_the_generating_set():
     # the orbit of the first point of S alone has 61 images
     assert affine_61.generating_set() == (0, 1)
     assert inner_order(affine_61) == 61 * 60
+
+
+def test_inner_group_is_generated_by_the_translations_of_s():
+    for name, X in _differential_racks():
+        G = inner_group(X)
+        S_translations = dict.fromkeys(X.phi(s) for s in X.generating_set())
+        assert G.generators == tuple(
+            t for t in S_translations if not t.is_identity()), name
+        H = all_translations_group(X)
+        assert G.element_set() == H.element_set(), name
+    # the translations of S = (0, 1) generate all 61 * 60 affine maps
+    affine_61 = affine_quandle(make_affine_spec([61], 2)).rack
+    assert inner_group(affine_61).order() == 61 * 60
 
 
 # -- block routines through the generating set ------------------------------------------

@@ -228,6 +228,8 @@ def test_every_invocation_is_pinned():
     assert sorted(PINS) == sorted(INVOCATIONS)
 
 
-@pytest.mark.parametrize("key", sorted(INVOCATIONS))
+@pytest.mark.parametrize("key", [
+    pytest.param(key, marks=pytest.mark.slow) if " 9 --bound 9" in key else key
+    for key in sorted(INVOCATIONS)])
 def test_output_pin(key, inputs):
     assert run_pinned(key, inputs) == PINS[key]

@@ -114,8 +114,12 @@ def _orbit_size(G, rep):
     return G.order() // G.centralizer(rep).order()
 
 
-@pytest.mark.parametrize("alt,d", [(False, 8), (True, 8), (False, 9), (True, 9)],
-                         ids=["sym", "alt", "sym-9", "alt-9"])
+@pytest.mark.parametrize("alt,d", [
+    pytest.param(False, 8, id="sym"),
+    pytest.param(True, 8, id="alt"),
+    pytest.param(False, 9, id="sym-9", marks=pytest.mark.slow),
+    pytest.param(True, 9, id="alt-9", marks=pytest.mark.slow),
+])
 def test_degree_8_scans_match_sympy(alt, d):
     # The class of rep generates the normal closure N of rep, and its
     # quandle is connected when N is transitive on the class: in S_d, when
@@ -152,6 +156,7 @@ def test_degree_8_generators_generate_the_normal_closure():
     _assert_generators_generate_the_normal_closure(8)
 
 
+@pytest.mark.slow
 def test_degree_9_generators_generate_the_normal_closure():
     _assert_generators_generate_the_normal_closure(9)
 
