@@ -42,7 +42,6 @@ from .analysis import (
     PrimitivityReport,
     Profile,
     center_check,
-    conjugation_rack_quotient_check,
     fibers,
     inner_action_primitivity,
     inner_group,
@@ -59,7 +58,6 @@ from .constructors import (
     ClassQuandle,
     HomogeneousSpec,
     affine_quandle,
-    alternating_class_scan,
     conjugacy_class_quandle,
     cyclic_permutation_rack,
     dihedral_quandle,
@@ -68,7 +66,6 @@ from .constructors import (
     homogeneous_quandle,
     make_affine_spec,
     make_homogeneous_spec,
-    symmetric_class_scan,
     trivial_quandle,
 )
 from .conjecture import (
@@ -77,12 +74,15 @@ from .conjecture import (
     HayashiVerdict,
     IntersectionEvidence,
     alternating_class_divisibility_check,
+    alternating_class_scan,
+    conjugation_rack_quotient_check,
     divisibility_crosscheck,
     full_report,
     hayashi_check,
     intersection_evidence,
     primitive_divisibility_check,
     symmetric_class_divisibility_check,
+    symmetric_class_scan,
 )
 from .fixtures import smallquandle_12_4
 

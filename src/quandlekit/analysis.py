@@ -13,10 +13,10 @@ since it can only mean an implementation bug.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import CapExceeded, NotConnected, TheoremViolation
-from .perm import DEFAULT_CAP, CycleType, Permutation, PermutationGroup
+from .perm import DEFAULT_CAP, CycleType, PermutationGroup
 from .racktable import RackTable
 
 
@@ -220,20 +220,6 @@ def center_check(X: RackTable, cap: int = DEFAULT_CAP) -> bool:
     if not is_faithful(X):
         raise ValueError("center check requires a faithful rack")
     return inner_group(X, cap=cap).center_order() == 1
-
-
-def conjugation_rack_quotient_check(perms: Sequence[Permutation],
-                                    cap: int = DEFAULT_CAP) -> bool:
-    """For a conjugation-closed set of permutations, check that the inner
-    group of the induced rack has order |G| / |Z(G)| with G the generated
-    group.  The set is the ▷-closure of the rack's ▷-generating set, so
-    the labels of that set generate G."""
-    from .constructors import rack_from_conjugation_closed
-
-    rack, labels = rack_from_conjugation_closed(perms)
-    G = PermutationGroup(labels[0].degree,
-                         [labels[s] for s in rack.generating_set()], cap=cap)
-    return inner_order(rack, cap) * G.center_order() == G.order()
 
 
 def k_tilde_block_diagnostic(X: RackTable) -> list:

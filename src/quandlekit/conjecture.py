@@ -8,7 +8,8 @@ or of an alternating group.  Each case is enforced in one function of this
 module (:func:`primitive_divisibility_check` and :func:`_class_case`): a
 computed violation aborts with :class:`TheoremViolation` (it can only be an
 implementation bug), while a violation outside them would be a genuine
-counterexample candidate and is reported as data.
+counterexample candidate and is reported as data.  The class scans, whose
+records carry a verdict per class, sit beside the two class-case checks.
 
 CLI exit codes derive from these outcomes:
 
@@ -19,14 +20,29 @@ CLI exit codes derive from these outcomes:
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import NotConnected, TheoremViolation
-from .perm import DEFAULT_CAP
+from .perm import (
+    DEFAULT_CAP,
+    Permutation,
+    PermutationGroup,
+    _unchecked,
+    all_partitions,
+    alternating_group,
+    canonical_of_cycle_type,
+    generating_points,
+    orbit_partition,
+    symmetric_class,
+    symmetric_class_size,
+)
 from .racktable import RackTable
 from . import analysis
-from . import constructors
-from .analysis import Profile
+from .analysis import Profile, connected_profile, inner_order
+from .constructors import _check_bound, rack_from_conjugation_closed
+
+CLASS_SCAN_BOUND = 7
 
 
 class HayashiVerdict(NamedTuple):
@@ -133,21 +149,179 @@ def primitive_divisibility_check(X: RackTable) -> PrimitiveCheckResult:
     return PrimitiveCheckResult(True, verdict)
 
 
+# -- class scans -------------------------------------------------------------------
+
+
+class ClassScanRecord(NamedTuple):
+    """Verdicts for one conjugacy class analyzed as a quandle."""
+    parts: tuple              # cycle type of the class, decreasing
+    class_size: int
+    element_order: int
+    connected: bool
+    profile: Optional[Profile]
+    hayashi: Optional[HayashiVerdict]  # when connected
+    split: Optional[str] = None     # alternating halves: "a" | "b"
+    split_witness_ok: Optional[bool] = None
+
+
+def _conjugation_action(cls: Sequence[Permutation]) -> tuple:
+    """Connectedness and profile of the quandle of a listed conjugacy class,
+    read off conjugation by class elements: x ▷ y = x y x⁻¹, so the
+    translation by x is conjugation by x on the class, and no operation
+    table is built.
+
+    Generators are chosen by :func:`generating_points`, which forms
+    conjugation by a class element, as an index row over the class, only
+    when that element joins the generators.  The quandle is connected when
+    their rows have one orbit, and its profile is their common cycle type.
+
+    Returns ``(connected, profile or None, generators)``, the generators
+    being class elements that generate the same group as the class.
+    """
+    elems = [p.images for p in cls]
+    n = len(elems)
+    index = {e: i for i, e in enumerate(elems)}
+    # compose[i](c) is c·e_i (itemgetter(*a)(b) lists b[a[0]], b[a[1]], ...)
+    compose = [itemgetter(*e) for e in elems]
+
+    def row_of(k: int) -> tuple:
+        undo = itemgetter(*cls[k].inverse().images)  # c·e_i -> c·e_i·c⁻¹
+        c = elems[k]
+        return tuple([index[undo(get(c))] for get in compose])
+
+    taken, rows = generating_points(n, row_of)
+    generators = [cls[k] for k in taken]
+    if len(orbit_partition(n, rows)) > 1:
+        return False, None, generators
+    prof = connected_profile((_unchecked(row).cycle_type() for row in rows),
+                             quandle=True)
+    return True, prof, generators
+
+
+def _class_inner_order(generators: Sequence[Permutation]) -> int:
+    """|Inn(X)| for the quandle X of a conjugacy class that ``generators``
+    generate as a group G: conjugation maps G onto Inn(X), and its kernel,
+    the centralizer of a generating set, is the center of G."""
+    G = PermutationGroup(generators[0].degree, generators)
+    return G.order() // G.center_order()
+
+
+def conjugation_rack_quotient_check(perms: Sequence[Permutation],
+                                    cap: int = DEFAULT_CAP) -> bool:
+    """For a conjugation-closed set of permutations, check that the inner
+    group of the induced rack has order |G| / |Z(G)| with G the generated
+    group.  The set is the ▷-closure of the rack's ▷-generating set, so
+    the labels of that set generate G."""
+    rack, labels = rack_from_conjugation_closed(perms)
+    G = PermutationGroup(labels[0].degree,
+                         [labels[s] for s in rack.generating_set()], cap=cap)
+    return inner_order(rack, cap) * G.center_order() == G.order()
+
+
+def _class_scan_record(cls: Sequence[Permutation], parts, split=None,
+                       check_witness=False,
+                       cap=DEFAULT_CAP) -> ClassScanRecord:
+    """The record of one listed class.  With ``check_witness`` a connected
+    class also gets its table, for the trivial-intersection witness at point
+    0; |Inn(X)| comes from the generators found on the way, and a group over
+    ``cap`` raises the listing's :class:`CapExceeded`."""
+    connected, prof, generators = _conjugation_action(cls)
+    witness_ok = None
+    if check_witness and connected:
+        rack, _ = rack_from_conjugation_closed(cls)
+        # analysis.inner_order reads the stored order instead of listing
+        # Inn(X), and applies the cap to it
+        rack._inner_order = _class_inner_order(generators)
+        evidence = intersection_evidence(rack, 0, cap=cap)
+        witness_ok = evidence.trivial_witness is not None
+    return ClassScanRecord(
+        parts=parts,
+        class_size=len(cls),
+        element_order=cls[0].order(),
+        connected=connected,
+        profile=prof,
+        hayashi=None if prof is None else hayashi_check(prof),
+        split=split,
+        split_witness_ok=witness_ok,
+    )
+
+
+def symmetric_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
+                         cap: int = DEFAULT_CAP) -> list:
+    """One record per noncentral conjugacy class of the symmetric group of
+    degree d (i.e. every class except the identity's).  Each class is sized
+    against ``cap`` before it is listed, and no table is built."""
+    _check_bound("class scan", "degree", d, bound)
+    return [_class_scan_record(symmetric_class(d, parts, cap), parts)
+            for parts in all_partitions(d) if any(p != 1 for p in parts)]
+
+
+def _splits_in_alternating(parts) -> bool:
+    """A class of even permutations splits iff all cycle lengths are odd
+    and pairwise distinct."""
+    return all(p % 2 == 1 for p in parts) and len(set(parts)) == len(parts)
+
+
+def alternating_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
+                           cap: int = DEFAULT_CAP) -> list:
+    """Records for the noncentral conjugacy classes of the alternating
+    group of degree d.  Split classes (one symmetric-group class breaking
+    into two) produce two records, and the observed split is cross-checked
+    against the odd-and-distinct-lengths criterion.
+
+    For split classes the trivial-intersection witness is verified up to
+    degree 6, on tables of at most 72 points.  From degree 7 on
+    ``split_witness_ok`` is None, which ``scan --alt`` prints as
+    ``split_witness=None``.  Each symmetric-group class is sized against
+    ``cap`` before its part in the alternating group is listed.
+    """
+    _check_bound("class scan", "degree", d, bound)
+    A = alternating_group(d, cap=cap)
+    out = []
+    for parts in all_partitions(d):
+        if all(p == 1 for p in parts):
+            continue
+        rep = canonical_of_cycle_type(d, parts)
+        if rep.sign() != 1:
+            continue
+        sym_class_size = symmetric_class_size(parts, cap)
+        split = _splits_in_alternating(parts)
+        alt_class = A.conjugacy_class(rep)
+        if (len(alt_class) != sym_class_size) != split:
+            raise TheoremViolation(
+                f"class splitting criterion failed for type {parts} in degree {d}")
+        if not split:
+            out.append(_class_scan_record(alt_class, parts))
+            continue
+        if 2 * len(alt_class) != sym_class_size:
+            raise TheoremViolation(
+                f"split class of type {parts} is not halved in degree {d}")
+        swap = Permutation.from_cycles(d, [[0, 1]])
+        other_class = A.conjugacy_class(swap.conj(rep))
+        if not set(other_class).isdisjoint(alt_class):
+            raise TheoremViolation(
+                f"split halves of type {parts} are not disjoint in degree {d}")
+        for label, half in (("a", alt_class), ("b", other_class)):
+            out.append(_class_scan_record(half, parts, split=label,
+                                          check_witness=d <= 6, cap=cap))
+    return out
+
+
 def symmetric_class_divisibility_check(d: int,
-                                       bound: int = constructors.CLASS_SCAN_BOUND,
+                                       bound: int = CLASS_SCAN_BOUND,
                                        cap: int = DEFAULT_CAP) -> list:
     """Scan the symmetric-group classes of degree d and assert the
     divisibility verdict on every connected one."""
-    records = constructors.symmetric_class_scan(d, bound=bound, cap=cap)
+    records = symmetric_class_scan(d, bound=bound, cap=cap)
     return _class_case(records, "symmetric", d)
 
 
 def alternating_class_divisibility_check(d: int,
-                                         bound: int = constructors.CLASS_SCAN_BOUND,
+                                         bound: int = CLASS_SCAN_BOUND,
                                          cap: int = DEFAULT_CAP) -> list:
     """Scan the alternating-group classes of degree d (split halves
     separately) and assert the divisibility verdict on every connected one."""
-    records = constructors.alternating_class_scan(d, bound=bound, cap=cap)
+    records = alternating_class_scan(d, bound=bound, cap=cap)
     return _class_case(records, "alternating", d)
 
 

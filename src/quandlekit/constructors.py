@@ -1,46 +1,37 @@
 """Builders for racks and quandles from group-theoretic data.
 
 Finite groups are handled as permutation groups given by generators.  The
-homogeneous construction lists the group's elements; the class quandles,
-the class scans and the enumeration list conjugacy classes, never the
-ambient group.  Coset representatives and class-element orderings are fixed
-deterministically (image-array lexicographic order) so every constructed
-table is reproducible bit-exactly.
+homogeneous construction lists the group's elements; the class quandles
+and the enumeration list conjugacy classes, never the ambient group.  Coset
+representatives and class-element orderings are fixed deterministically
+(image-array lexicographic order) so every constructed table is
+reproducible bit-exactly.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from operator import itemgetter
-from typing import (Callable, Dict, Iterable, Mapping, NamedTuple, Optional,
-                    Sequence, Union)
+from typing import (Callable, Dict, Iterable, Mapping, NamedTuple, Sequence,
+                    Union)
 
 from . import _kernels
-from .errors import (BoundExceeded, CapExceeded, DegreeMismatch,
-                     TheoremViolation)
+from .errors import BoundExceeded, DegreeMismatch, TheoremViolation
 from .perm import (
     DEFAULT_CAP,
     CycleType,
     Permutation,
     PermutationGroup,
     _inverse_images,
-    _unchecked,
     all_partitions,
-    alternating_group,
-    canonical_of_cycle_type,
-    generating_points,
     orbit_partition,
     symmetric_class,
     symmetric_class_size,
 )
-from .racktable import RackTable, fingerprint, is_isomorphic
-from .analysis import Profile, connected_profile, is_connected
+from .racktable import RackTable, _check_table, fingerprint, is_isomorphic
+from .analysis import is_connected
 
 ENUMERATION_BOUND = 8
-CLASS_SCAN_BOUND = 7
-# Entries of the largest operation table built from a conjugacy class: 2^25
-# admits every class of S8, the largest having 5760^2 = 33.2 M entries.
-TABLE_BOUND = 2 ** 25
 
 
 # -- simple tables -------------------------------------------------------------
@@ -81,14 +72,6 @@ class ClassQuandle(NamedTuple):
     rack: RackTable
     labels: tuple
     ambient_degree: int
-
-
-def _check_table(stage: str, n: int) -> None:
-    """Raise :class:`CapExceeded` when an n-point table passes TABLE_BOUND."""
-    if n * n > TABLE_BOUND:
-        raise CapExceeded(
-            f"{stage}: table of {n}^2 = {n * n} entries exceeds "
-            f"the table bound {TABLE_BOUND}")
 
 
 def rack_from_conjugation_closed(perms: Sequence[Permutation]):
@@ -481,151 +464,3 @@ def _enumerate(n: int, quandle_only: bool, cap: int) -> list:
              for t in _search_connected_tables(n, quandle_only, cap)
              if _connected_table(t)]
     return _dedup_tables(racks)
-
-
-# -- class scans -------------------------------------------------------------------
-
-
-class ClassScanRecord(NamedTuple):
-    """Verdicts for one conjugacy class analyzed as a quandle."""
-    parts: tuple              # cycle type of the class, decreasing
-    class_size: int
-    element_order: int
-    connected: bool
-    profile: Optional[Profile]
-    hayashi: Optional[object]       # HayashiVerdict when connected
-    split: Optional[str] = None     # alternating halves: "a" | "b"
-    split_witness_ok: Optional[bool] = None
-
-
-def _conjugation_action(cls: Sequence[Permutation]) -> tuple:
-    """Connectedness and profile of the quandle of a listed conjugacy class,
-    read off conjugation by class elements: x ▷ y = x y x⁻¹, so the
-    translation by x is conjugation by x on the class, and no operation
-    table is built.
-
-    Generators are chosen by :func:`generating_points`, which forms
-    conjugation by a class element, as an index row over the class, only
-    when that element joins the generators.  The quandle is connected when
-    their rows have one orbit, and its profile is their common cycle type.
-
-    Returns ``(connected, profile or None, generators)``, the generators
-    being class elements that generate the same group as the class.
-    """
-    elems = [p.images for p in cls]
-    n = len(elems)
-    index = {e: i for i, e in enumerate(elems)}
-    # compose[i](c) is c·e_i (itemgetter(*a)(b) lists b[a[0]], b[a[1]], ...)
-    compose = [itemgetter(*e) for e in elems]
-
-    def row_of(k: int) -> tuple:
-        undo = itemgetter(*cls[k].inverse().images)  # c·e_i -> c·e_i·c⁻¹
-        c = elems[k]
-        return tuple([index[undo(get(c))] for get in compose])
-
-    taken, rows = generating_points(n, row_of)
-    generators = [cls[k] for k in taken]
-    if len(orbit_partition(n, rows)) > 1:
-        return False, None, generators
-    prof = connected_profile((_unchecked(row).cycle_type() for row in rows),
-                             quandle=True)
-    return True, prof, generators
-
-
-def _class_inner_order(generators: Sequence[Permutation]) -> int:
-    """|Inn(X)| for the quandle X of a conjugacy class that ``generators``
-    generate as a group G: conjugation maps G onto Inn(X), and its kernel,
-    the centralizer of a generating set, is the center of G."""
-    G = PermutationGroup(generators[0].degree, generators)
-    return G.order() // G.center_order()
-
-
-def _class_scan_record(cls: Sequence[Permutation], parts, split=None,
-                       check_witness=False,
-                       cap=DEFAULT_CAP) -> ClassScanRecord:
-    """The record of one listed class.  With ``check_witness`` a connected
-    class also gets its table, for the trivial-intersection witness at point
-    0; |Inn(X)| comes from the generators found on the way, and a group over
-    ``cap`` raises the listing's :class:`CapExceeded`."""
-    from .conjecture import hayashi_check, intersection_evidence
-
-    connected, prof, generators = _conjugation_action(cls)
-    witness_ok = None
-    if check_witness and connected:
-        rack, _ = rack_from_conjugation_closed(cls)
-        # analysis.inner_order reads the stored order instead of listing
-        # Inn(X), and applies the cap to it
-        rack._inner_order = _class_inner_order(generators)
-        evidence = intersection_evidence(rack, 0, cap=cap)
-        witness_ok = evidence.trivial_witness is not None
-    return ClassScanRecord(
-        parts=parts,
-        class_size=len(cls),
-        element_order=cls[0].order(),
-        connected=connected,
-        profile=prof,
-        hayashi=None if prof is None else hayashi_check(prof),
-        split=split,
-        split_witness_ok=witness_ok,
-    )
-
-
-def symmetric_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
-                         cap: int = DEFAULT_CAP) -> list:
-    """One record per noncentral conjugacy class of the symmetric group of
-    degree d (i.e. every class except the identity's).  Each class is sized
-    against ``cap`` before it is listed, and no table is built."""
-    _check_bound("class scan", "degree", d, bound)
-    return [_class_scan_record(symmetric_class(d, parts, cap), parts)
-            for parts in all_partitions(d) if any(p != 1 for p in parts)]
-
-
-def _splits_in_alternating(parts) -> bool:
-    """A class of even permutations splits iff all cycle lengths are odd
-    and pairwise distinct."""
-    return all(p % 2 == 1 for p in parts) and len(set(parts)) == len(parts)
-
-
-def alternating_class_scan(d: int, bound: int = CLASS_SCAN_BOUND,
-                           cap: int = DEFAULT_CAP) -> list:
-    """Records for the noncentral conjugacy classes of the alternating
-    group of degree d.  Split classes (one symmetric-group class breaking
-    into two) produce two records, and the observed split is cross-checked
-    against the odd-and-distinct-lengths criterion.
-
-    For split classes the trivial-intersection witness is verified up to
-    degree 6, on tables of at most 72 points.  From degree 7 on
-    ``split_witness_ok`` is None, which ``scan --alt`` prints as
-    ``split_witness=None``.  Each symmetric-group class is sized against
-    ``cap`` before its part in the alternating group is listed.
-    """
-    _check_bound("class scan", "degree", d, bound)
-    A = alternating_group(d, cap=cap)
-    out = []
-    for parts in all_partitions(d):
-        if all(p == 1 for p in parts):
-            continue
-        rep = canonical_of_cycle_type(d, parts)
-        if rep.sign() != 1:
-            continue
-        sym_class_size = symmetric_class_size(parts, cap)
-        split = _splits_in_alternating(parts)
-        alt_class = A.conjugacy_class(rep)
-        if (len(alt_class) != sym_class_size) != split:
-            raise TheoremViolation(
-                f"class splitting criterion failed for type {parts} in degree {d}")
-        if not split:
-            out.append(_class_scan_record(alt_class, parts))
-            continue
-        if 2 * len(alt_class) != sym_class_size:
-            raise TheoremViolation(
-                f"split class of type {parts} is not halved in degree {d}")
-        swap = Permutation.from_cycles(d, [[0, 1]])
-        other_class = A.conjugacy_class(swap.conj(rep))
-        if not set(other_class).isdisjoint(alt_class):
-            raise TheoremViolation(
-                f"split halves of type {parts} are not disjoint in degree {d}")
-        for label, half in (("a", alt_class), ("b", other_class)):
-            out.append(_class_scan_record(half, parts, split=label,
-                                          check_witness=d <= 6, cap=cap))
-    return out

@@ -25,9 +25,13 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from . import _kernels
-from .errors import DegreeMismatch, NotARack, ParseError
+from .errors import CapExceeded, DegreeMismatch, NotARack, ParseError
 from .perm import (CycleType, Permutation, _unchecked, generating_points,
                    orbit_partition)
+
+# Entries of the largest operation table built from a conjugacy class: 2^25
+# admits every class of S8, the largest having 5760^2 = 33.2 M entries.
+TABLE_BOUND = 2 ** 25
 
 
 class AxiomWitness(NamedTuple):
@@ -405,11 +409,17 @@ def emit_rtbl(X: RackTable, comment: Optional[str] = None) -> str:
     return "\n".join(out) + "\n"
 
 
+def _check_table(stage: str, n: int) -> None:
+    """Raise :class:`CapExceeded` when an n-point table passes TABLE_BOUND."""
+    if n * n > TABLE_BOUND:
+        raise CapExceeded(
+            f"{stage}: table of {n}^2 = {n * n} entries exceeds "
+            f"the table bound {TABLE_BOUND}")
+
+
 def _perm_rows(n: int, lines: list) -> list:
     """The permutations of degree ``n`` on the content lines of a PERM
     file, with the table bound checked before any line is expanded."""
-    from .constructors import _check_table
-
     _check_table(f"PERM input of degree {n}", n)
     perms = []
     for lineno, line in lines:

@@ -137,7 +137,7 @@ def test_criterion_06_theorem_code_wiring(monkeypatch, capsys):
     def boom(*a, **k):
         raise qk.TheoremViolation("synthetic violation for wiring check")
 
-    monkeypatch.setattr(qk.constructors, "symmetric_class_scan", boom)
+    monkeypatch.setattr(qk.conjecture, "symmetric_class_scan", boom)
     code = main(["scan", "--sym", "3"])
     capsys.readouterr()
     assert code == 2

@@ -12,19 +12,22 @@ import hashlib
 
 import pytest
 
-from quandlekit import _kernels, analysis, constructors
+from quandlekit import _kernels, analysis, conjecture
 from quandlekit.cli import main
-from quandlekit.conjecture import hayashi_check, intersection_evidence
-from quandlekit.constructors import (
-    ClassQuandle,
+from quandlekit.conjecture import (
     ClassScanRecord,
     _class_inner_order,
     _conjugation_action,
     _splits_in_alternating,
     alternating_class_scan,
+    hayashi_check,
+    intersection_evidence,
+    symmetric_class_scan,
+)
+from quandlekit.constructors import (
+    ClassQuandle,
     rack_from_conjugation_closed,
     symmetric_class_quandle,
-    symmetric_class_scan,
 )
 from quandlekit.perm import (
     Permutation,
@@ -202,7 +205,7 @@ def test_profile_harness_wiring(capsys, monkeypatch, rows, message):
             return _unchecked(tuple((i + 1) % n for i in range(n)))
         return _unchecked(images)
 
-    monkeypatch.setattr(constructors, "_unchecked", reading)
+    monkeypatch.setattr(conjecture, "_unchecked", reading)
     code, out, err = _run(capsys, ["scan", "--sym", "4"])
     assert (code, out) == (2, "")
     assert message in err

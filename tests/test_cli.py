@@ -372,10 +372,10 @@ def test_class_table_bound_exits_3_before_listing(capsys, monkeypatch,
 def test_class_scans_read_no_table_bound(capsys, monkeypatch, argv):
     # a scan builds no table (scan --alt 6 builds the split halves' tables
     # for their witness, so degree 7 is the alternating case)
-    from quandlekit import constructors
+    from quandlekit import racktable
     from test_output_pins import PINS
 
-    monkeypatch.setattr(constructors, "TABLE_BOUND", 0)
+    monkeypatch.setattr(racktable, "TABLE_BOUND", 0)
     code, out, err = run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (
         *PINS[" ".join(argv)], "")
@@ -446,7 +446,7 @@ def test_affine_table_bound_exits_3_before_listing(capsys, orders, size):
 
 def test_affine_and_homog_tables_are_sized_from_the_spec(capsys, tmp_path,
                                                          monkeypatch):
-    from quandlekit import constructors
+    from quandlekit import racktable
 
     group = tmp_path / "s3.perm"
     group.write_text("perm 3\n(1,2)\n(1,2,3)\n")
@@ -455,10 +455,10 @@ def test_affine_and_homog_tables_are_sized_from_the_spec(capsys, tmp_path,
     for spec, size, stage in [
             ("affine orders=5 alpha=2", 5, "affine quandle of orders 5"),
             (homog, 6, "homogeneous quandle of |G|=6, |H|=1")]:
-        monkeypatch.setattr(constructors, "TABLE_BOUND", size * size)
+        monkeypatch.setattr(racktable, "TABLE_BOUND", size * size)
         code, out, err = run(capsys, "construct", spec)
         assert (code, f"rtbl {size}" in out, err) == (0, True, "")
-        monkeypatch.setattr(constructors, "TABLE_BOUND", size * size - 1)
+        monkeypatch.setattr(racktable, "TABLE_BOUND", size * size - 1)
         assert run(capsys, "construct", spec) == (
             3, "", _table_bound_line(stage, size, size * size - 1))
 
@@ -713,38 +713,38 @@ def test_cap_reaches_enumeration(capsys, extra):
 
 
 def test_enumeration_builds_no_class_table(capsys, monkeypatch):
-    from quandlekit import constructors
+    from quandlekit import racktable
 
     argv = ["scan", "--enumerate", "5"]
     code, default_out, _ = run(capsys, *argv)
     assert code == 0
-    monkeypatch.setattr(constructors, "TABLE_BOUND", 0)
+    monkeypatch.setattr(racktable, "TABLE_BOUND", 0)
     assert run(capsys, *argv) == (0, default_out, "")
 
 
 def test_alt_splitting_criterion_harness(capsys, monkeypatch):
-    from quandlekit import constructors
+    from quandlekit import conjecture
 
-    criterion = constructors._splits_in_alternating
-    monkeypatch.setattr(constructors, "_splits_in_alternating",
+    criterion = conjecture._splits_in_alternating
+    monkeypatch.setattr(conjecture, "_splits_in_alternating",
                         lambda parts: not criterion(parts))
     assert "splitting criterion" in assert_theorem_exit(capsys, "scan", "--alt", "5")
 
 
 def test_alt_halving_harness(capsys, monkeypatch):
-    from quandlekit import constructors
+    from quandlekit import conjecture
 
     # in a cyclic group every class has one element: the 5-cycles "split"
     # into classes of size 1, not 12
     monkeypatch.setattr(
-        constructors, "alternating_group",
+        conjecture, "alternating_group",
         lambda d, cap: PermutationGroup(
             d, [Permutation.from_cycles(d, [list(range(d))])], cap=cap))
     assert "not halved" in assert_theorem_exit(capsys, "scan", "--alt", "5")
 
 
 def test_alt_disjoint_halves_harness(capsys, monkeypatch):
-    from quandlekit import constructors
+    from quandlekit import conjecture
 
     class IdentitySwap:
         @staticmethod
@@ -752,7 +752,7 @@ def test_alt_disjoint_halves_harness(capsys, monkeypatch):
             return Permutation.identity(degree)
 
     # conjugating by the identity gives the first half again
-    monkeypatch.setattr(constructors, "Permutation", IdentitySwap)
+    monkeypatch.setattr(conjecture, "Permutation", IdentitySwap)
     assert "not disjoint" in assert_theorem_exit(capsys, "scan", "--alt", "5")
 
 

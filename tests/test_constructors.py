@@ -30,7 +30,7 @@ from quandlekit import (
     symmetric_group,
     trivial_quandle,
 )
-from quandlekit import _kernels, constructors
+from quandlekit import _kernels, constructors, racktable
 from quandlekit.constructors import (
     rack_from_conjugation_closed,
     symmetric_class_quandle,
@@ -721,16 +721,16 @@ def test_symmetric_class_is_sized_before_listing(monkeypatch):
 def test_table_bound_admits_every_class_of_s8():
     largest = max(symmetric_class_size(p) for p in all_partitions(8))
     assert largest == 5760
-    assert largest ** 2 <= constructors.TABLE_BOUND
-    assert symmetric_class_size((9,)) ** 2 > constructors.TABLE_BOUND
+    assert largest ** 2 <= racktable.TABLE_BOUND
+    assert symmetric_class_size((9,)) ** 2 > racktable.TABLE_BOUND
 
 
 def test_class_quandle_checks_the_table_bound_before_listing(monkeypatch):
     built = symmetric_class_quandle(4, (2, 1, 1))
     assert built == conjugacy_class_quandle(symmetric_group(4), cyc(4, (1, 2)))
-    monkeypatch.setattr(constructors, "TABLE_BOUND", 36)
+    monkeypatch.setattr(racktable, "TABLE_BOUND", 36)
     assert symmetric_class_quandle(4, (2, 1, 1)) == built
-    monkeypatch.setattr(constructors, "TABLE_BOUND", 35)
+    monkeypatch.setattr(racktable, "TABLE_BOUND", 35)
     monkeypatch.setattr(PermutationGroup, "conjugacy_class", _forbidden_listing)
     with pytest.raises(CapExceeded) as exc:
         symmetric_class_quandle(4, (2, 1, 1))
@@ -744,13 +744,13 @@ def test_class_quandle_checks_the_table_bound_before_listing(monkeypatch):
 
 def test_conjugation_rack_checks_the_table_bound_before_the_table(monkeypatch):
     transpositions = symmetric_group(4).conjugacy_class(cyc(4, (1, 2)))
-    monkeypatch.setattr(constructors, "TABLE_BOUND", 36)
+    monkeypatch.setattr(racktable, "TABLE_BOUND", 36)
     assert rack_from_conjugation_closed(transpositions)[0].n == 6
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the table was built")
 
-    monkeypatch.setattr(constructors, "TABLE_BOUND", 35)
+    monkeypatch.setattr(racktable, "TABLE_BOUND", 35)
     monkeypatch.setattr(_kernels, "conjugation_table", forbidden)
     with pytest.raises(CapExceeded) as exc:
         rack_from_conjugation_closed(transpositions)

@@ -23,15 +23,15 @@ FIELDS = {
     constructors.HomogeneousSpec: ("group", "subgroup_generators", "alpha"),
     constructors.AffineSpec: ("orders", "alpha"),
     constructors.AffineResult: ("rack", "beta_bijective"),
-    constructors.ClassScanRecord: ("parts", "class_size", "element_order",
-                                   "connected", "profile", "hayashi", "split",
-                                   "split_witness_ok"),
     conjecture.HayashiVerdict: ("holds", "violations"),
     conjecture.IntersectionEvidence: ("base_x", "F_order", "witnesses",
                                       "trivial_witness"),
     conjecture.CrosscheckResult: ("forward_ok", "converse_ok"),
     conjecture.PrimitiveCheckResult: ("primitive", "hayashi",
                                       "witness_blocks"),
+    conjecture.ClassScanRecord: ("parts", "class_size", "element_order",
+                                 "connected", "profile", "hayashi", "split",
+                                 "split_witness_ok"),
     conjecture.LambdaPartCheck: ("k", "expected", "uniform"),
     conjecture.AnalysisReport: ("n", "kind", "connected", "faithful",
                                 "fiber_size", "profile",
@@ -48,7 +48,7 @@ def test_field_order(record):
 
 def test_defaults():
     assert racktable.IsoWitness(False).bijection is None
-    rec = constructors.ClassScanRecord((2, 1), 3, 2, True, None, None)
+    rec = conjecture.ClassScanRecord((2, 1), 3, 2, True, None, None)
     assert rec.split is None and rec.split_witness_ok is None
     assert conjecture.PrimitiveCheckResult(False, None).witness_blocks is None
 
@@ -68,7 +68,7 @@ def test_repr(golden):
         "IntersectionEvidence(base_x=0, F_order=6, witnesses=((0, 6), (1, 2), "
         "(2, 2), (3, 2), (4, 3), (5, 1), (6, 1), (7, 1), (8, 3), (9, 1), "
         "(10, 1), (11, 1)), trivial_witness=5)")
-    assert repr(constructors.alternating_class_scan(4)[0]) == (
+    assert repr(conjecture.alternating_class_scan(4)[0]) == (
         "ClassScanRecord(parts=(3, 1), class_size=4, element_order=3, "
         "connected=True, profile=Profile(cycle_type=CycleType(1^1 3^1)), "
         "hayashi=HayashiVerdict(holds=True, violations=()), split='a', "

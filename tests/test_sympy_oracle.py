@@ -9,14 +9,14 @@ import pytest
 from quandlekit import analysis, conjugacy_class_quandle, symmetric_group
 from quandlekit.analysis import inner_action_primitivity, inner_group
 from quandlekit.cli import construct_from_spec
-from quandlekit.constructors import (
+from quandlekit.conjecture import (
     _class_inner_order,
     _conjugation_action,
     _splits_in_alternating,
     alternating_class_scan,
-    rack_from_conjugation_closed,
     symmetric_class_scan,
 )
+from quandlekit.constructors import rack_from_conjugation_closed
 from quandlekit.perm import (
     all_partitions,
     canonical_of_cycle_type,

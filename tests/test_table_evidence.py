@@ -15,7 +15,7 @@ from quandlekit import (
     analysis,
     conjecture,
 )
-from quandlekit.constructors import all_partitions, canonical_of_cycle_type
+from quandlekit.perm import all_partitions, canonical_of_cycle_type
 
 
 def _differential_racks():
